@@ -16,7 +16,7 @@
 
 use crate::experiment::RunConfig;
 use crate::report::{f1, f2, Table};
-use crate::sweep::{CellKey, SweepEngine, SweepOptions, SweepStats, TraceFn, VARIANT_WEAK};
+use crate::sweep::{CellKey, SweepEngine, VARIANT_JITTER, VARIANT_WEAK};
 use ibp_core::{
     annotate_trace, history_annotate_trace_jobs, oracle_annotate_trace_jobs,
     reactive_annotate_trace_jobs, PowerConfig, TraceAnnotations,
@@ -24,7 +24,7 @@ use ibp_core::{
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
 use ibp_trace::Trace;
-use ibp_workloads::{AppKind, Scaling, Workload};
+use ibp_workloads::{AppKind, Scaling};
 use serde::{Deserialize, Serialize};
 
 /// One policy's outcome on one application.
@@ -319,37 +319,19 @@ pub struct RobustnessPoint {
 /// The jitter multipliers [`robustness_study`] sweeps.
 pub const JITTER_MULTIPLIERS: [f64; 7] = [0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0];
 
-/// Trace source for the robustness study: the cell variant indexes
-/// [`JITTER_MULTIPLIERS`], scaling ALYA's compute-gap sigmas.
-fn jitter_trace_fn() -> TraceFn {
-    std::sync::Arc::new(|key: &CellKey| {
-        let mult = JITTER_MULTIPLIERS[key.variant as usize];
-        let mut alya = ibp_workloads::Alya::default();
-        alya.assembly_gap.sigma *= mult;
-        alya.solver_gap.sigma *= mult;
-        alya.generate(key.nprocs, key.seed)
-    })
-}
-
-/// Failure injection: scale ALYA's compute jitter and displacement-test
-/// the mechanism. Builds its own engine (the jitter workloads are not
-/// the paper grid's, so they get a private trace cache) and returns the
-/// rows plus that engine's [`SweepStats`].
-pub fn robustness_study(
-    opts: SweepOptions,
-    nprocs: u32,
-    seed: u64,
-) -> (Vec<RobustnessPoint>, SweepStats) {
-    let engine = SweepEngine::with_trace_fn(opts, jitter_trace_fn());
+/// Failure injection: scale ALYA's compute jitter (cells keyed
+/// [`VARIANT_JITTER`]` + i`, one per [`JITTER_MULTIPLIERS`] entry) and
+/// displacement-test the mechanism.
+pub fn robustness_study(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<RobustnessPoint> {
     let cells: Vec<CellKey> = (0..JITTER_MULTIPLIERS.len() as u32)
         .map(|i| CellKey {
             app: AppKind::Alya,
             nprocs,
             seed,
-            variant: i,
+            variant: VARIANT_JITTER + i,
         })
         .collect();
-    let rows = engine.run_cells(
+    engine.run_cells(
         &cells,
         |&k| k,
         |ctx, key, _| {
@@ -360,7 +342,7 @@ pub fn robustness_study(
             let managed = replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default())
                 .expect("replay");
             RobustnessPoint {
-                jitter_multiplier: JITTER_MULTIPLIERS[key.variant as usize],
+                jitter_multiplier: JITTER_MULTIPLIERS[(key.variant - VARIANT_JITTER) as usize],
                 hit_rate_pct: agg.hit_rate_pct(),
                 saving_pct: managed.power_saving_pct(),
                 slowdown_pct: managed.slowdown_pct(&ctx.baseline()),
@@ -368,9 +350,7 @@ pub fn robustness_study(
                     / agg.total_calls.max(1) as f64,
             }
         },
-    );
-    let stats = engine.stats();
-    (rows, stats)
+    )
 }
 
 /// One fault-rate level's outcome in the fault-tolerance study.
@@ -500,7 +480,9 @@ pub fn render_robustness(rows: &[RobustnessPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepOptions;
     use ibp_core::{oracle_annotate_trace, reactive_annotate_trace};
+    use ibp_workloads::Workload;
 
     #[test]
     fn oracle_bounds_ppa_from_above() {
@@ -590,8 +572,9 @@ mod tests {
 
     #[test]
     fn robustness_degrades_gracefully() {
-        let (rows, stats) = robustness_study(SweepOptions::default(), 8, 5);
-        assert_eq!(stats.traces_generated as usize, JITTER_MULTIPLIERS.len());
+        let engine = SweepEngine::new(SweepOptions::default());
+        let rows = robustness_study(&engine, 8, 5);
+        assert_eq!(engine.stats().traces_generated as usize, JITTER_MULTIPLIERS.len());
         let first = &rows[0];
         let last = rows.last().unwrap();
         // Extreme jitter must cost late wake-ups and savings…

@@ -1,25 +1,29 @@
 //! # ibp-analysis — experiment drivers for every table and figure
 //!
-//! Reproduction harness for the paper's evaluation: each module (and the
-//! matching binary in `src/bin/`) regenerates one exhibit:
+//! Reproduction harness for the paper's evaluation. [`catalog::EXHIBITS`]
+//! is the one table of exhibits behind `ibpower exhibits <name>`; each
+//! entry runs on a shared [`SweepEngine`], writes its JSON (and SVGs)
+//! and returns its rendered text:
 //!
-//! | exhibit | module / binary |
-//! |---|---|
-//! | Table I (idle-interval distribution) | [`table1`] / `table1` |
-//! | Table II (simulation parameters) | `params` binary |
-//! | Table III (chosen GT + hit rate) | [`gt_select`] / `table3` |
-//! | Table IV (PPA overheads) | [`table4`] / `table4` |
-//! | Figs. 7–9 (savings + slowdown per displacement) | [`figures`] / `fig7`–`fig9` |
-//! | Fig. 10 (GT sweep) | [`gt_select`] / `fig10` |
-//! | Generation × sleep-depth frontier (extension) | [`generation`] |
+//! | exhibit | name | computed in |
+//! |---|---|---|
+//! | Table II (simulation parameters) | `table2` | `ibp_network::SimParams` |
+//! | Table I (idle-interval distribution) | `table1` | [`exhibits`] |
+//! | Table III (chosen GT + hit rate) | `table3` | [`exhibits`], [`gt_select`] |
+//! | Table IV (PPA overheads) | `table4` | [`exhibits`] |
+//! | Figs. 7–9 (savings + slowdown per displacement) | `fig7`–`fig9` | [`exhibits`] |
+//! | Fig. 10 (GT sweep) | `fig10` | [`exhibits`], [`gt_select`] |
+//! | Generation × sleep-depth frontier | `generation_frontier` | [`generation`] |
+//! | Extension studies | `ablation`, `deepsleep`, `weak_scaling`, `robustness`, `fault_tolerance` | [`extensions`] |
 //!
-//! [`paper_ref`] holds the published values so every binary prints
-//! ours-vs-paper columns, and `EXPERIMENTS.md` is assembled from the same
-//! data.
+//! `all` runs every entry but the extension studies and writes
+//! `summary.txt`. [`paper_ref`] holds the published values so the
+//! exhibits print ours-vs-paper columns.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod catalog;
 pub mod exhibits;
 pub mod experiment;
 pub mod extensions;
@@ -41,6 +45,6 @@ pub use generation::{
     generation_frontier, render_generation_frontier, GenerationFrontierRow, FRONTIER_GENERATIONS,
 };
 pub use gt_select::{choose_gt, select, sweep, GtPoint, GT_GRID_US};
-pub use output::{bin_main, OutputDir};
+pub use output::OutputDir;
 pub use report::Table;
-pub use sweep::{sweep_args, CellCtx, CellKey, SweepEngine, SweepOptions, SweepStats};
+pub use sweep::{CellCtx, CellKey, SweepEngine, SweepOptions, SweepStats};

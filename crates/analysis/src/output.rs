@@ -1,21 +1,18 @@
-//! Results-directory output for the exhibit binaries.
+//! Results-directory output for the exhibits.
 //!
-//! The binaries used to swallow every IO error with `.ok()`, which
-//! turned a read-only or otherwise broken `results/` directory into
-//! silent empty output. This module gives them one narrow interface
-//! that propagates `std::io::Result` with the failing path attached,
-//! so `main` can exit nonzero with a usable message instead.
+//! Every write propagates `std::io::Result` with the failing path
+//! attached, so a read-only or otherwise broken `results/` directory
+//! ends the run with a usable message instead of silently empty output.
 
 use crate::sweep::SweepStats;
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Environment variable overriding the default `results/` directory
-/// (used by tests and the CI serial-vs-parallel diff).
+/// Environment variable overriding the default `results/` directory.
 pub const RESULTS_DIR_ENV: &str = "IBP_RESULTS_DIR";
 
-/// A results directory the exhibit binaries write into.
+/// A results directory the exhibits write into.
 #[derive(Debug, Clone)]
 pub struct OutputDir {
     root: PathBuf,
@@ -69,28 +66,6 @@ impl OutputDir {
     /// bit-identical across `--jobs` values.
     pub fn write_stats(&self, exhibit: &str, stats: &SweepStats) -> io::Result<PathBuf> {
         self.write_json(&format!("{exhibit}.stats.json"), stats)
-    }
-}
-
-/// Shared entry point for the exhibit binaries: strips `--jobs N` /
-/// `--serial` from argv (exit 2 on a malformed flag), hands the
-/// remaining positional args to `f`, and exits 1 with the error —
-/// which names the failing path — if `f` fails.
-pub fn bin_main<F>(f: F)
-where
-    F: FnOnce(crate::sweep::SweepOptions, &[String]) -> io::Result<()>,
-{
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match crate::sweep::sweep_args(&mut args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = f(opts, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the exhibits.
 
 /// A simple aligned-column table builder.
 #[derive(Debug, Default)]

@@ -1,6 +1,6 @@
 //! Self-contained SVG rendering of the paper's figures.
 //!
-//! The figure binaries write these next to their JSON output so the
+//! The figure exhibits write these next to their JSON output so the
 //! reproduction can be eyeballed against the paper's plots. Design notes
 //! (following the workspace's data-viz procedure):
 //!

@@ -41,12 +41,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Trace-generation variant encoded in a [`CellKey`]. The default trace
-/// function understands strong and weak scaling; studies with bespoke
-/// generators (e.g. jitter amplification) install their own function via
-/// [`SweepEngine::with_trace_fn`] and assign variants as they see fit.
+/// function understands strong and weak scaling and jitter
+/// amplification; tests with bespoke generators (e.g. shrunk workloads)
+/// install their own function via [`SweepEngine::with_trace_fn`].
 pub const VARIANT_STRONG: u32 = 0;
 /// Weak-scaling variant (per-rank work fixed); see [`VARIANT_STRONG`].
 pub const VARIANT_WEAK: u32 = 1;
+/// First jitter-amplification variant: `VARIANT_JITTER + i` is ALYA with
+/// its compute-gap sigmas scaled by
+/// [`JITTER_MULTIPLIERS`](crate::extensions::JITTER_MULTIPLIERS)`[i]`.
+pub const VARIANT_JITTER: u32 = 2;
 
 /// Identity of the memoizable part of one grid cell: everything trace
 /// generation (and hence the baseline replay) depends on. GT and
@@ -163,29 +167,6 @@ impl SweepOptions {
     }
 }
 
-/// Strip `--jobs N` / `--serial` from `args` (in place), returning the
-/// sweep options they select on top of `IBP_JOBS`. Binaries call this
-/// before reading their positional arguments.
-pub fn sweep_args(args: &mut Vec<String>) -> Result<SweepOptions, String> {
-    let mut opts = SweepOptions::from_env();
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let val = args
-            .get(i + 1)
-            .ok_or_else(|| "--jobs needs a value".to_string())?;
-        opts.jobs = val
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --jobs: {val}"))?;
-        args.drain(i..=i + 1);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--serial") {
-        opts.parallel = false;
-        args.remove(i);
-    }
-    Ok(opts)
-}
-
 /// Wall-clock and cache-effectiveness counters for one sweep (or one
 /// exhibit's slice of a shared engine), emitted alongside each results
 /// JSON as `<name>.stats.json`. Everything except `wall_ms` is
@@ -278,7 +259,8 @@ impl<K: std::hash::Hash + Eq + Clone, V> KeyedCache<K, V> {
 pub type TraceFn = Arc<dyn Fn(&CellKey) -> Trace + Send + Sync>;
 
 /// The default trace source: strong-scaling paper workloads for
-/// [`VARIANT_STRONG`], weak-scaling ones for [`VARIANT_WEAK`].
+/// [`VARIANT_STRONG`], weak-scaling ones for [`VARIANT_WEAK`], jittered
+/// ALYA from [`VARIANT_JITTER`] on.
 pub fn default_trace_fn() -> TraceFn {
     Arc::new(|key: &CellKey| match key.variant {
         VARIANT_STRONG => make_trace(key.app, key.nprocs, key.seed),
@@ -288,7 +270,15 @@ pub fn default_trace_fn() -> TraceFn {
             key.seed,
             Scaling::Weak,
         ),
-        other => panic!("no default workload for trace variant {other}"),
+        other => {
+            let mult = crate::extensions::JITTER_MULTIPLIERS
+                .get((other - VARIANT_JITTER) as usize)
+                .unwrap_or_else(|| panic!("no default workload for trace variant {other}"));
+            let mut alya = ibp_workloads::Alya::default();
+            alya.assembly_gap.sigma *= mult;
+            alya.solver_gap.sigma *= mult;
+            ibp_workloads::Workload::generate(&alya, key.nprocs, key.seed)
+        }
     })
 }
 
@@ -615,26 +605,6 @@ mod tests {
         assert_eq!(*rank_jobs, 8, "single cell receives the whole budget");
         let serial = ibp_core::annotate_trace(&e.trace(&key), &cfg);
         assert_eq!(*parallel, serial);
-    }
-
-    #[test]
-    fn sweep_args_parsing() {
-        let mut args = vec!["16".to_string(), "--jobs".into(), "3".into()];
-        let opts = sweep_args(&mut args).unwrap();
-        assert_eq!(opts.jobs, 3);
-        assert!(opts.parallel);
-        assert_eq!(args, vec!["16".to_string()]);
-
-        let mut args = vec!["--serial".to_string(), "8".into()];
-        let opts = sweep_args(&mut args).unwrap();
-        assert!(!opts.parallel);
-        assert_eq!(opts.effective_jobs(), 1);
-        assert_eq!(args, vec!["8".to_string()]);
-
-        let mut bad = vec!["--jobs".to_string(), "zero".into()];
-        assert!(sweep_args(&mut bad).is_err());
-        let mut missing = vec!["--jobs".to_string()];
-        assert!(sweep_args(&mut missing).is_err());
     }
 
     #[test]

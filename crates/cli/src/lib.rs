@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use ibp_analysis::catalog;
 use ibp_simcore::SimDuration;
 use ibp_workloads::{AppKind, Scaling, Workload};
 
@@ -124,8 +125,8 @@ pub enum Command {
     },
     /// Regenerate paper exhibits on the parallel sweep engine.
     Exhibits {
-        /// Exhibit name (`all`, `table1`, `table3`, `table4`,
-        /// `fig7`–`fig10`, `generation_frontier`).
+        /// Exhibit name: `all` or an entry of
+        /// [`ibp_analysis::catalog::EXHIBITS`].
         name: String,
         /// Worker threads (0 = available parallelism / `IBP_JOBS`).
         jobs: usize,
@@ -462,26 +463,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "exhibits" => {
+            let known = || catalog::names().collect::<Vec<_>>().join("|");
             let name = positional
                 .first()
-                .ok_or(
-                    "missing <exhibit> \
-                     (all|table1|table3|table4|fig7|fig8|fig9|fig10|generation_frontier)",
-                )?
+                .ok_or_else(|| format!("missing <exhibit> ({})", known()))?
                 .to_string();
-            const KNOWN: [&str; 9] = [
-                "all",
-                "table1",
-                "table3",
-                "table4",
-                "fig7",
-                "fig8",
-                "fig9",
-                "fig10",
-                "generation_frontier",
-            ];
-            if !KNOWN.contains(&name.as_str()) {
-                return Err(format!("unknown exhibit '{name}'"));
+            if !catalog::names().any(|n| n == name) {
+                return Err(format!("unknown exhibit '{name}' ({})", known()));
             }
             let jobs = match flag_val("--jobs") {
                 Some(s) => s
@@ -680,8 +668,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Usage text, with the exhibit names read from the exhibit table.
+pub fn usage() -> String {
+    let names: Vec<&str> = catalog::names().collect();
+    let lines: Vec<String> = names.chunks(6).map(|c| c.join(", ")).collect();
+    USAGE.replace("{exhibits}", &lines.join(",\n  "))
+}
+
+const USAGE: &str = "\
 ibpower — software-managed InfiniBand link power reduction (ICPP 2014 reproduction)
 
 USAGE:
@@ -712,13 +706,15 @@ USAGE:
 
 APPS: gromacs, alya, wrf, nas-bt, nas-mg (nas-bt needs square nprocs)
 
-EXHIBITS: all, table1, table3, table4, fig7, fig8, fig9, fig10,
-  generation_frontier — run on the parallel sweep engine (traces and
-  baselines memoized per key; results are byte-identical for any --jobs
-  value). --jobs N sets the worker count (default: IBP_JOBS, else all
-  cores); --serial forces the in-thread path; --out DIR overrides the
-  results directory (default: IBP_RESULTS_DIR or results/). Each results
-  JSON gets a <name>.stats.json with cache counters. generation_frontier
+EXHIBITS: {exhibits}
+  — run on the parallel sweep engine (traces and baselines memoized per
+  key; results are byte-identical for any --jobs value). `all` runs the
+  paper's tables and figures plus generation_frontier on one engine and
+  writes summary.txt; the rest are extension studies, run alone.
+  --jobs N sets the worker count (default: IBP_JOBS, else all cores);
+  --serial forces the in-thread path; --out DIR overrides the results
+  directory (default: IBP_RESULTS_DIR or results/). Each exhibit also
+  writes a <name>.stats.json with cache counters. generation_frontier
   sweeps the five apps across IB generations (QDR/FDR/EDR/HDR) × three
   sleep policies (wrps, deep, full depth ladder) and reports each
   point's savings, slowdown, and whole-switch saving.
@@ -1024,12 +1020,14 @@ mod tests {
                 out: Some("tmp/r".into()),
             }
         );
-        match parse(&argv("exhibits generation_frontier --jobs 2")).unwrap() {
-            Command::Exhibits { name, jobs, .. } => {
-                assert_eq!(name, "generation_frontier");
-                assert_eq!(jobs, 2);
+        for name in catalog::names() {
+            match parse(&argv(&format!("exhibits {name} --jobs 2"))).unwrap() {
+                Command::Exhibits { name: n, jobs, .. } => {
+                    assert_eq!(n, name);
+                    assert_eq!(jobs, 2);
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
         let c = parse(&argv("exhibits all --serial")).unwrap();
         match c {
@@ -1047,9 +1045,12 @@ mod tests {
     #[test]
     fn exhibits_rejects_bad_input() {
         assert!(parse(&argv("exhibits")).is_err());
-        assert!(parse(&argv("exhibits fig11"))
-            .unwrap_err()
-            .contains("unknown exhibit"));
+        // Unknown names are rejected with the list of known ones.
+        for name in ["fig11", "params", "calibrate", "ALL", "table"] {
+            let err = parse(&argv(&format!("exhibits {name}"))).unwrap_err();
+            assert!(err.contains("unknown exhibit"), "{name}: {err}");
+            assert!(err.contains("fault_tolerance"), "lists the names: {err}");
+        }
         assert!(parse(&argv("exhibits all --jobs 0"))
             .unwrap_err()
             .contains("bad --jobs"));

@@ -122,8 +122,8 @@ impl SimParams {
         bytes.div_ceil(self.segment_bytes).max(1)
     }
 
-    /// A human-readable rendering of the configuration (the `params`
-    /// binary prints this as the Table II reproduction).
+    /// A human-readable rendering of the configuration (`ibpower
+    /// exhibits table2` prints this as the Table II reproduction).
     pub fn describe(&self) -> String {
         format!(
             "Simulator            event-driven replay (Dimemas/Venus-style)\n\

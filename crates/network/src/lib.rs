@@ -29,7 +29,6 @@ pub mod replay;
 pub mod results;
 pub mod switch_power;
 pub mod topology;
-pub mod xgft;
 
 pub use collectives::{decompose, for_each_micro, MicroOp};
 pub use config::{SimParams, DEEP_POWER_FRACTION, RATE_POWER_FRACTION};
@@ -41,4 +40,3 @@ pub use replay::{replay, replay_with_scratch, ReplayError, ReplayOptions, Replay
 pub use results::SimResult;
 pub use switch_power::{SwitchPowerModel, SwitchPowerReport};
 pub use topology::{ChannelId, FatTree, Route};
-pub use xgft::{Vertex, Xgft};

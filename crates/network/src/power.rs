@@ -30,20 +30,6 @@ pub enum LinkPower {
 }
 
 impl LinkPower {
-    /// Relative power draw of the state (rate/deep floors at their
-    /// standard-ladder values; see [`LinkPower::relative_draw_in`] for
-    /// parameter-driven accounting).
-    #[inline]
-    #[must_use]
-    pub fn relative_draw(self, low_fraction: f64) -> f64 {
-        match self {
-            LinkPower::Full | LinkPower::Transition => 1.0,
-            LinkPower::Low => low_fraction,
-            LinkPower::Rate => crate::config::RATE_POWER_FRACTION,
-            LinkPower::Deep => crate::config::DEEP_POWER_FRACTION,
-        }
-    }
-
     /// Relative power draw of the state under a parameter set.
     #[inline]
     #[must_use]
@@ -448,21 +434,12 @@ mod tests {
 
     #[test]
     fn relative_draw_values() {
-        assert_eq!(LinkPower::Full.relative_draw(0.43), 1.0);
-        assert_eq!(LinkPower::Transition.relative_draw(0.43), 1.0);
-        assert_eq!(LinkPower::Low.relative_draw(0.43), 0.43);
-        assert_eq!(LinkPower::Rate.relative_draw(0.43), 0.25);
-        assert_eq!(LinkPower::Deep.relative_draw(0.43), 0.10);
         let p = SimParams::paper();
-        for s in [
-            LinkPower::Full,
-            LinkPower::Low,
-            LinkPower::Rate,
-            LinkPower::Deep,
-            LinkPower::Transition,
-        ] {
-            assert_eq!(s.relative_draw_in(&p), s.relative_draw(p.low_power_fraction));
-        }
+        assert_eq!(LinkPower::Full.relative_draw_in(&p), 1.0);
+        assert_eq!(LinkPower::Transition.relative_draw_in(&p), 1.0);
+        assert_eq!(LinkPower::Low.relative_draw_in(&p), 0.43);
+        assert_eq!(LinkPower::Rate.relative_draw_in(&p), 0.25);
+        assert_eq!(LinkPower::Deep.relative_draw_in(&p), 0.10);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! prediction mechanism.
 
 use ibp_core::{annotate_rank, PowerConfig, RankRuntime, SleepKind};
-use ibp_network::IbGeneration;
+use ibp_network::{
+    IbGeneration, SimParams, SleepLadder, SwitchPowerModel, DEEP_POWER_FRACTION,
+    RATE_POWER_FRACTION,
+};
 use ibp_simcore::{DetRng, SimDuration};
 use ibp_trace::{MpiCall, MpiOp, TraceBuilder};
 use proptest::prelude::*;
@@ -216,6 +219,44 @@ fn deeper_rungs_trade_latency_for_power_in_every_generation() {
                 "{gen:?}: {:?} transition cheaper than {:?}",
                 pair[1], pair[0]
             );
+        }
+    }
+}
+
+/// The paper's sleep ladder is written down in several places (the
+/// mechanism's config, the replay parameters, the generation ladder, the
+/// switch power model and the floor constants); they must agree on every
+/// rung's power floor and wake latency.
+#[test]
+fn ladder_mirrors_agree_on_every_rung() {
+    let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
+    let params = SimParams::paper();
+    let ladder = SleepLadder::for_generation(IbGeneration::Qdr);
+    let switch = SwitchPowerModel::default();
+    for kind in SleepKind::ALL {
+        let rung = ladder.rung(kind);
+        let (floor, wake) = match kind {
+            SleepKind::Wrps => (params.low_power_fraction, params.t_react),
+            SleepKind::Rate => (params.rate_power_fraction, params.rate_t_react),
+            SleepKind::Deep => (params.deep_power_fraction, params.deep_t_react),
+        };
+        let mut floors = vec![
+            ("PowerConfig::paper", cfg.draw_of(kind)),
+            ("SimParams::paper", floor),
+        ];
+        floors.extend(match kind {
+            SleepKind::Wrps => vec![("SwitchPowerModel", switch.wrps_fraction)],
+            SleepKind::Rate => vec![
+                ("SwitchPowerModel", switch.rate_fraction),
+                ("RATE_POWER_FRACTION", RATE_POWER_FRACTION),
+            ],
+            SleepKind::Deep => vec![("DEEP_POWER_FRACTION", DEEP_POWER_FRACTION)],
+        });
+        for (source, f) in floors {
+            assert_eq!(f, rung.power_fraction, "{kind:?} floor: {source} vs ladder");
+        }
+        for (source, w) in [("PowerConfig::paper", cfg.react_of(kind)), ("SimParams::paper", wake)] {
+            assert_eq!(w, rung.wake_latency, "{kind:?} wake: {source} vs ladder");
         }
     }
 }
