@@ -15,7 +15,7 @@
 use ibp_core::{annotate_trace_jobs, PowerConfig, RankStats, TraceAnnotations};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
-use ibp_trace::{IdleDistribution, Trace};
+use ibp_trace::Trace;
 use ibp_workloads::AppKind;
 use serde::{Deserialize, Serialize};
 
@@ -73,8 +73,6 @@ pub struct RunResult {
     pub managed_exec: SimDuration,
     /// Aggregate runtime counters over all ranks.
     pub stats: RankStats,
-    /// Idle-interval distribution of the generated trace (Table I).
-    pub idle: IdleDistribution,
 }
 
 /// Generate the trace for `app` at `nprocs` (deterministic per seed).
@@ -187,7 +185,6 @@ pub fn run_runtime_only_jobs(
         baseline_exec: SimDuration::ZERO,
         managed_exec: SimDuration::ZERO,
         stats: ann.aggregate_stats(),
-        idle: IdleDistribution::from_trace(trace),
     }
 }
 
@@ -212,7 +209,6 @@ fn collect(
         baseline_exec: baseline.exec_time,
         managed_exec: managed.exec_time,
         stats: ann.aggregate_stats(),
-        idle: IdleDistribution::from_trace(trace),
     }
 }
 

@@ -357,7 +357,8 @@ impl SweepEngine {
 
     /// Execute one cell list: `work(ctx, item, index)` for every item,
     /// on the pool (or serially under the escape hatch), with results
-    /// collected **by index**. `key_of` maps an item to the cell key
+    /// collected **by index**. The pool takes cells largest
+    /// [`CellKey::nprocs`] first; the serial path runs them in order. `key_of` maps an item to the cell key
     /// whose memoized trace the context carries.
     pub fn run_cells<I, T, K, F>(&self, items: &[I], key_of: K, work: F) -> Vec<T>
     where
@@ -384,17 +385,19 @@ impl SweepEngine {
                 })
                 .collect();
         }
+        // Largest cells first (replay cost grows with the rank count), so
+        // no worker is left running a big cell alone at the end.
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(key_of(&items[i]).nprocs));
         let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         self.pool.scope(|s| {
             for _ in 0..jobs.min(items.len()) {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+                s.spawn(|_| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let ctx = self.ctx_jobs(key_of(&items[i]), rank_jobs);
+                        *slots[i].lock().unwrap() = Some(work(&ctx, &items[i], i));
                     }
-                    let ctx = self.ctx_jobs(key_of(&items[i]), rank_jobs);
-                    *slots[i].lock().unwrap() = Some(work(&ctx, &items[i], i));
                 });
             }
         });
@@ -564,6 +567,34 @@ mod tests {
             },
         );
         assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn largest_cells_start_first() {
+        // Two workers; the first two cells to start wait (bounded) for
+        // each other, so they are the first two handed out: the two
+        // largest-nprocs cells, wherever they sit in the grid.
+        let e = engine(2);
+        let procs: Vec<u32> = vec![4, 8, 2, 16, 4, 32, 2, 8];
+        let started = AtomicUsize::new(0);
+        let out = e.run_cells(
+            &procs,
+            |&n| CellKey::new(AppKind::Alya, n, 1),
+            |_, &n, idx| {
+                let order = started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                while order < 2 && started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                (idx, n, order)
+            },
+        );
+        for (i, &(idx, n, _)) in out.iter().enumerate() {
+            assert_eq!((idx, n), (i, procs[i]), "results in index order");
+        }
+        let mut first: Vec<u32> = out.iter().filter(|c| c.2 < 2).map(|c| c.1).collect();
+        first.sort_unstable();
+        assert_eq!(first, vec![16, 32]);
     }
 
     #[test]

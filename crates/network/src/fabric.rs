@@ -34,7 +34,9 @@ pub struct Fabric {
     topo: FatTree,
     /// Per-channel busy-until time.
     free: Vec<SimTime>,
-    rng: DetRng,
+    /// [`DetRng::split_key`] of the routing generator, which never
+    /// advances: every message's route stream is split from it.
+    route_key: u64,
     /// Per (src,dst) message sequence numbers for identity-stable
     /// routing, stored dense (`src * nprocs + dst`): replays touch most
     /// pairs anyway and the direct index beats a hash probe per message.
@@ -57,7 +59,7 @@ impl Fabric {
             params,
             topo,
             free,
-            rng: DetRng::seed_from_u64(seed).split(0xFAB),
+            route_key: DetRng::seed_from_u64(seed).split(0xFAB).split_key(),
             pair_seq: vec![0; (nprocs as usize) * (nprocs as usize)],
             nprocs,
             stats: FabricStats::default(),
@@ -100,9 +102,10 @@ impl Fabric {
             *c += 1;
             *c
         };
-        let mut msg_rng = self
-            .rng
-            .split((u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF));
+        let mut msg_rng = DetRng::split_from(
+            self.route_key,
+            (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF),
+        );
         let route = self.topo.route_inline(src, dst, &mut msg_rng);
         let serial = self.serial(bytes);
         let mut head = send_time + self.params.mpi_latency;

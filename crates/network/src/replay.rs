@@ -21,16 +21,19 @@
 //! ## Memory and data layout
 //!
 //! All growable engine state lives in a [`ReplayScratch`] arena that is
-//! reused across replays. A single build pass over the trace lays every
-//! rank's micro-operations out as a flat structure-of-arrays **step
-//! stream** (parallel kind/arg/bytes/k vectors walked by a per-rank
-//! cursor), assigns each receive its arrival index up front, and counts
-//! the sends of every (src, dst) pair; prefix sums turn the counts into
-//! offsets into one flat arrival array, and parked waiters are per-pair
-//! slots (only the destination rank ever receives on a pair, so at most
-//! one rank can wait on it). Collective events expand through a memoized
-//! schedule cache keyed by (collective, root, bytes, nprocs), so a sweep
-//! decomposes each distinct collective once instead of once per cell.
+//! reused across replays. Nothing is lowered ahead of the run: each rank
+//! owns a small **step window** holding only its current event's
+//! micro-operations, filled when the rank enters the event (collectives
+//! through a memoized schedule cache keyed by (collective, root, bytes,
+//! nprocs), so a sweep decomposes each distinct collective once instead
+//! of once per cell) and walked by a per-rank cursor. Receives get their
+//! arrival indices as they are laid out, in program order. The only
+//! whole-trace pass counts the sends of every (src, dst) pair; prefix
+//! sums turn the counts into offsets into one flat arrival array, and
+//! parked waiters are per-pair slots (only the destination rank ever
+//! receives on a pair, so at most one rank can wait on it). The working
+//! set is therefore the arrival array plus `nprocs` windows of at most
+//! one event each, not a stream of every micro-operation of the trace.
 //! [`replay`] keeps a thread-local scratch; sweeps that replay thousands
 //! of cells can pass their own via [`replay_with_scratch`].
 //!
@@ -162,12 +165,11 @@ impl std::error::Error for ReplayError {}
 /// Cost of posting a non-blocking operation (library bookkeeping only).
 const POST_OVERHEAD: SimDuration = SimDuration::from_ns(300);
 
-/// Micro-step kinds of the flat step stream (see [`ReplayScratch`]).
+/// Micro-step kinds of a rank's step window (see [`ReplayScratch`]).
 ///
-/// The stream is structure-of-arrays: `step_kind[i]` says how to read the
-/// parallel `step_arg` / `step_bytes` / `step_k` slots at `i` (documented
-/// per variant), so the hot loop dispatches on a one-byte tag and reads
-/// dense arrays instead of matching a trace-event enum per step.
+/// A [`Step`]'s `arg` / `bytes` / `k` slots mean different things per
+/// kind (documented per variant), so the hot loop dispatches on a
+/// one-byte tag instead of matching a trace-event enum per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepKind {
     /// Blocking send: `arg` = destination rank, `bytes` = payload.
@@ -177,15 +179,30 @@ enum StepKind {
     /// Non-blocking send post: `arg` = destination, `bytes` = payload,
     /// `k` = request id.
     IsendPost,
-    /// Non-blocking receive post (consumed at event expansion, never
-    /// scheduled): `arg` = pair id, `k` = arrival index, `bytes` =
-    /// request id.
-    IrecvPost,
     /// Wait on a posted request: `arg` = request id.
     WaitReq,
     /// Event boundary: advance the event counter, resolve directives.
     OpDone,
 }
+
+/// One micro step of a rank's current event.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    kind: StepKind,
+    /// Peer rank / pair id / request id.
+    arg: u32,
+    /// Arrival index / request id.
+    k: u32,
+    /// Payload bytes.
+    bytes: u64,
+}
+
+const OP_DONE: Step = Step {
+    kind: StepKind::OpDone,
+    arg: 0,
+    k: 0,
+    bytes: 0,
+};
 
 #[derive(Debug, Clone, Copy)]
 enum Req {
@@ -196,7 +213,7 @@ enum Req {
 struct RankState {
     t: SimTime,
     ev: usize,
-    /// Cursor into the scratch step stream (this rank's segment).
+    /// Cursor into the scratch step array (this rank's window).
     cur: usize,
     /// Whether the cursor sits inside an expanded event (between the
     /// event's expansion bookkeeping and its `OpDone`).
@@ -294,7 +311,7 @@ const SCHED_CACHE_CAP: usize = 4096;
 
 /// Reusable buffers for the replay engine.
 ///
-/// A replay's growable state — the SoA step stream, the arrival arena,
+/// A replay's growable state — the step windows, the arrival arena,
 /// receive cursors, parked waiters, buffered sleep windows, the memoized
 /// collective-schedule cache and the scheduler heap — lives here so that
 /// back-to-back replays (parameter sweeps run thousands) recycle the
@@ -302,14 +319,13 @@ const SCHED_CACHE_CAP: usize = 4096;
 /// [`replay`] keeps one per thread automatically; hand a scratch to
 /// [`replay_with_scratch`] to control reuse explicitly.
 ///
-/// The step stream is flat: one build pass expands every rank's events
-/// (collectives through the schedule cache) into parallel
-/// `step_kind` / `step_arg` / `step_bytes` / `step_k` arrays, with rank
-/// `r`'s segment at `rank_step_base[r] .. rank_step_base[r + 1]`. The
-/// same pass assigns receive arrival indices and tallies every pair's
-/// sends; an exclusive prefix sum turns the tallies into `base` offsets,
-/// and pair `p`'s arrivals occupy `times[base[p] .. base[p] + len[p]]`.
-/// Steady-state replay therefore never reallocates or rehashes.
+/// Rank `r`'s step window is `steps[r * stride ..]`: the micro steps of
+/// the event it is executing, ending in an `OpDone`, laid out when the
+/// rank enters the event. `stride` is one more than the longest event of
+/// the trace. Pair `p`'s arrivals occupy `times[base[p] .. base[p] +
+/// len[p]]`, where `base` is the exclusive prefix sum of per-pair send
+/// counts taken by [`ReplayScratch::prepare`]. Steady-state replay
+/// therefore never reallocates or rehashes.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     /// Exclusive prefix sums of per-pair send counts (`pairs + 1` long).
@@ -326,21 +342,9 @@ pub struct ReplayScratch {
     parked_k: Vec<u32>,
     /// Runnable ranks, keyed by (clock, rank) — min first.
     heap: BinaryHeap<Reverse<(SimTime, Rank)>>,
-    /// Step stream: kind tags (see [`StepKind`] for slot meanings).
-    step_kind: Vec<StepKind>,
-    /// Step stream: peer rank / pair id / request id.
-    step_arg: Vec<u32>,
-    /// Step stream: payload bytes (request id for `IrecvPost`).
-    step_bytes: Vec<u64>,
-    /// Step stream: arrival index / request id.
-    step_k: Vec<u32>,
-    /// Per-rank segment starts in the step stream (`nprocs + 1`).
-    rank_step_base: Vec<usize>,
-    /// Flat per-event compute bursts — the only per-event trace field the
-    /// hot loop still reads; rank `r` owns
-    /// `ev_compute[rank_ev_base[r] .. rank_ev_base[r + 1]]`.
-    ev_compute: Vec<SimDuration>,
-    rank_ev_base: Vec<usize>,
+    /// Per-rank step windows, `stride` steps each.
+    steps: Vec<Step>,
+    stride: usize,
     /// Resolved sleep windows per rank, buffered during the timing run
     /// and applied in one batched power pass afterwards.
     windows: Vec<Vec<SleepWindow>>,
@@ -356,15 +360,12 @@ impl ReplayScratch {
         Self::default()
     }
 
-    /// Size every arena for `trace`, build the step stream, and reset
-    /// per-run state.
+    /// Size every arena for `trace` and reset per-run state.
     ///
-    /// One pass over the trace emits every micro step, counts each pair's
-    /// sends (prefix-summed into `base`), and assigns receives their
-    /// arrival indices. Assigning indices at build time is sound because
-    /// only a pair's destination rank ever receives on it and the engine
-    /// executes each rank's steps in program order — the indices are
-    /// exactly the ones runtime reservation would hand out.
+    /// One pass over the trace's events counts each pair's sends
+    /// (prefix-summed into `base`, which sizes the arrival arena),
+    /// memoizes every collective's schedule, and finds the longest event
+    /// to size the step windows.
     fn prepare(&mut self, trace: &Trace) {
         let nprocs = trace.nprocs;
         let pairs = (nprocs as usize) * (nprocs as usize);
@@ -377,13 +378,6 @@ impl ReplayScratch {
         self.parked_k.clear();
         self.parked_k.resize(pairs, 0);
         self.heap.clear();
-        self.step_kind.clear();
-        self.step_arg.clear();
-        self.step_bytes.clear();
-        self.step_k.clear();
-        self.rank_step_base.clear();
-        self.ev_compute.clear();
-        self.rank_ev_base.clear();
         self.windows.truncate(nprocs as usize);
         self.windows.resize_with(nprocs as usize, Vec::new);
         for w in &mut self.windows {
@@ -397,101 +391,130 @@ impl ReplayScratch {
         // prefix sum below yields exclusive base offsets.
         self.base.clear();
         self.base.resize(pairs + 1, 0);
-
-        macro_rules! step {
-            ($kind:expr, $arg:expr, $bytes:expr, $k:expr) => {{
-                self.step_kind.push($kind);
-                self.step_arg.push($arg);
-                self.step_bytes.push($bytes);
-                self.step_k.push($k);
-            }};
-        }
-        macro_rules! recv_step {
-            ($from:expr, $me:expr) => {{
-                let pair = $from * nprocs + $me;
-                let k = self.recv_next[pair as usize];
-                self.recv_next[pair as usize] += 1;
-                step!(StepKind::Recv, pair, 0, k);
-            }};
-        }
+        let mut longest = 0;
         for (r, rank_trace) in trace.ranks.iter().enumerate() {
             let r = r as Rank;
-            self.rank_step_base.push(self.step_kind.len());
-            self.rank_ev_base.push(self.ev_compute.len());
             for ev in &rank_trace.events {
-                self.ev_compute.push(ev.compute_before);
-                match &ev.op {
-                    MpiOp::Send { to, bytes } => {
+                let steps = match &ev.op {
+                    MpiOp::Send { to, .. } | MpiOp::Isend { to, .. } => {
                         self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::Send, *to, *bytes, 0);
+                        1
                     }
-                    MpiOp::Recv { from, .. } => recv_step!(*from, r),
-                    MpiOp::Sendrecv {
-                        to,
-                        send_bytes,
-                        from,
-                        ..
-                    } => {
+                    MpiOp::Sendrecv { to, .. } => {
                         self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::Send, *to, *send_bytes, 0);
-                        recv_step!(*from, r);
+                        2
                     }
-                    MpiOp::Isend { to, bytes, req } => {
-                        self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::IsendPost, *to, *bytes, *req);
-                    }
-                    MpiOp::Irecv { from, req, .. } => {
-                        let pair = *from * nprocs + r;
-                        let k = self.recv_next[pair as usize];
-                        self.recv_next[pair as usize] += 1;
-                        step!(StepKind::IrecvPost, pair, u64::from(*req), k);
-                    }
-                    MpiOp::Wait { req } => step!(StepKind::WaitReq, *req, 0, 0),
-                    MpiOp::Waitall { reqs } => {
-                        for &req in reqs {
-                            step!(StepKind::WaitReq, req, 0, 0);
-                        }
-                    }
+                    MpiOp::Recv { .. } | MpiOp::Wait { .. } => 1,
+                    // Posted at event entry; never a step.
+                    MpiOp::Irecv { .. } => 0,
+                    MpiOp::Waitall { reqs } => reqs.len(),
                     op => {
-                        let key = sched_key(op, nprocs)
-                            .expect("point-to-point ops are handled above");
-                        self.sched.entry(key).or_insert_with(|| build_sched(op, nprocs));
-                        let sched = &self.sched[&key];
-                        let bytes = key.2;
+                        let key =
+                            sched_key(op, nprocs).expect("point-to-point ops are handled above");
+                        let sched = self
+                            .sched
+                            .entry(key)
+                            .or_insert_with(|| build_sched(op, nprocs));
                         let lo = sched.rank_base[r as usize] as usize;
                         let hi = sched.rank_base[r as usize + 1] as usize;
                         for i in lo..hi {
-                            let peer = sched.peer[i];
                             if sched.send[i] {
-                                self.base[(r * nprocs + peer) as usize + 1] += 1;
-                                self.step_kind.push(StepKind::Send);
-                                self.step_arg.push(peer);
-                                self.step_bytes.push(bytes);
-                                self.step_k.push(0);
-                            } else {
-                                let pair = peer * nprocs + r;
-                                let k = self.recv_next[pair as usize];
-                                self.recv_next[pair as usize] += 1;
-                                self.step_kind.push(StepKind::Recv);
-                                self.step_arg.push(pair);
-                                self.step_bytes.push(0);
-                                self.step_k.push(k);
+                                self.base[(r * nprocs + sched.peer[i]) as usize + 1] += 1;
                             }
                         }
+                        hi - lo
                     }
-                }
-                step!(StepKind::OpDone, 0, 0, 0);
+                };
+                longest = longest.max(steps);
             }
         }
-        self.rank_step_base.push(self.step_kind.len());
-        self.rank_ev_base.push(self.ev_compute.len());
         for p in 0..pairs {
             self.base[p + 1] += self.base[p];
         }
         let total = self.base[pairs];
         self.times.clear();
         self.times.resize(total, SimTime::ZERO);
+        // Every window ends in the event's `OpDone`.
+        self.stride = longest + 1;
+        self.steps.clear();
+        self.steps.resize(nprocs as usize * self.stride, OP_DONE);
     }
+
+    /// Lay out event `op` of rank `r` in the rank's step window, ending
+    /// in `OpDone`, and return the window's start.
+    ///
+    /// Receives get their arrival indices here. That matches the order
+    /// in which sends fill a pair because only a pair's destination rank
+    /// ever receives on it, and a rank enters its events in program
+    /// order. An `Irecv` is not laid out: the caller posts it, and its
+    /// window is just the `OpDone`.
+    fn lower_event(&mut self, op: &MpiOp, r: Rank, nprocs: u32) -> usize {
+        let start = r as usize * self.stride;
+        let mut end = start;
+        let steps = &mut self.steps;
+        let recv_next = &mut self.recv_next;
+        let mut push = |kind, arg, bytes, k| {
+            steps[end] = Step {
+                kind,
+                arg,
+                k,
+                bytes,
+            };
+            end += 1;
+        };
+        let mut recv_index = |from: Rank| next_recv(recv_next, from, r, nprocs);
+        match op {
+            MpiOp::Send { to, bytes } => push(StepKind::Send, *to, *bytes, 0),
+            MpiOp::Recv { from, .. } => {
+                let (pair, k) = recv_index(*from);
+                push(StepKind::Recv, pair, 0, k);
+            }
+            MpiOp::Sendrecv {
+                to,
+                send_bytes,
+                from,
+                ..
+            } => {
+                push(StepKind::Send, *to, *send_bytes, 0);
+                let (pair, k) = recv_index(*from);
+                push(StepKind::Recv, pair, 0, k);
+            }
+            MpiOp::Isend { to, bytes, req } => push(StepKind::IsendPost, *to, *bytes, *req),
+            MpiOp::Irecv { .. } => {}
+            MpiOp::Wait { req } => push(StepKind::WaitReq, *req, 0, 0),
+            MpiOp::Waitall { reqs } => {
+                for &req in reqs {
+                    push(StepKind::WaitReq, req, 0, 0);
+                }
+            }
+            op => {
+                let key = sched_key(op, nprocs).expect("point-to-point ops are handled above");
+                let sched = &self.sched[&key];
+                let lo = sched.rank_base[r as usize] as usize;
+                let hi = sched.rank_base[r as usize + 1] as usize;
+                for i in lo..hi {
+                    let peer = sched.peer[i];
+                    if sched.send[i] {
+                        push(StepKind::Send, peer, key.2, 0);
+                    } else {
+                        let (pair, k) = recv_index(peer);
+                        push(StepKind::Recv, pair, 0, k);
+                    }
+                }
+            }
+        }
+        push(StepKind::OpDone, 0, 0, 0);
+        start
+    }
+}
+
+/// Hand out the next arrival index of the pair `from → to`: returns
+/// (pair id, index).
+fn next_recv(recv_next: &mut [u32], from: Rank, to: Rank, nprocs: u32) -> (u32, u32) {
+    let pair = from * nprocs + to;
+    let k = recv_next[pair as usize];
+    recv_next[pair as usize] += 1;
+    (pair, k)
 }
 
 /// The replay engine.
@@ -578,10 +601,10 @@ pub fn replay_with_scratch(
 
     scratch.prepare(trace);
     let ranks = (0..n)
-        .map(|r| RankState {
+        .map(|_| RankState {
             t: SimTime::ZERO,
             ev: 0,
-            cur: scratch.rank_step_base[r as usize],
+            cur: 0,
             in_event: false,
             reqs: FxHashMap::default(),
             next_directive: 0,
@@ -653,10 +676,23 @@ impl<'a> Replay<'a> {
     }
 
     fn run(&mut self) -> Result<(), ReplayError> {
-        while let Some(Reverse((_, r))) = self.scratch.heap.pop() {
-            if let Advance::Run(t) = self.advance_rank(r) {
-                self.scratch.heap.push(Reverse((t, r)));
-            }
+        let mut next = self.scratch.heap.pop();
+        while let Some(Reverse((_, r))) = next {
+            next = match self.advance_rank(r) {
+                // A rank only yields to an earlier heap top, which runs
+                // next: swap the two in one sift instead of a push plus a
+                // pop. (clock, rank) keys never tie, so the order is the
+                // same either way.
+                Advance::Run(t) => {
+                    let mut top = self
+                        .scratch
+                        .heap
+                        .peek_mut()
+                        .expect("a rank yields only to a runnable rank");
+                    Some(std::mem::replace(&mut *top, Reverse((t, r))))
+                }
+                Advance::Blocked => self.scratch.heap.pop(),
+            };
         }
         if let Some((r, s)) = self.ranks.iter().enumerate().find(|(_, s)| !s.done) {
             return Err(ReplayError::Deadlock {
@@ -693,8 +729,8 @@ impl<'a> Replay<'a> {
                 continue;
             }
             let cur = self.ranks[ri].cur;
-            let kind = self.scratch.step_kind[cur];
-            if matches!(kind, StepKind::Send | StepKind::IsendPost) {
+            let step = self.scratch.steps[cur];
+            if matches!(step.kind, StepKind::Send | StepKind::IsendPost) {
                 let t = self.ranks[ri].t;
                 if let Some(&Reverse(top)) = self.scratch.heap.peek() {
                     if top < (t, r) {
@@ -704,7 +740,7 @@ impl<'a> Replay<'a> {
                     }
                 }
             }
-            match self.execute_step(r, cur, kind) {
+            match self.execute_step(r, cur, step) {
                 StepOutcome::Ran | StepOutcome::EventDone => {}
                 StepOutcome::Parked { pair, k } => {
                     // Only the pair's destination rank ever receives on
@@ -721,15 +757,15 @@ impl<'a> Replay<'a> {
     }
 
     /// Enter the next trace event of rank `r`: apply compute, overhead,
-    /// penalty and sleep resolution, and point the cursor at the event's
-    /// pre-built steps. Returns `false` when the rank's trace is
-    /// exhausted (the rank is then finished).
+    /// penalty and sleep resolution, lay the event's steps out in the
+    /// rank's window and point the cursor at them. Returns `false` when
+    /// the rank's trace is exhausted (the rank is then finished).
     fn expand_next_event(&mut self, r: Rank) -> bool {
         let ri = r as usize;
         let ev = self.ranks[ri].ev;
-        let ev_base = self.scratch.rank_ev_base[ri];
-        let n_events = self.scratch.rank_ev_base[ri + 1] - ev_base;
-        if ev >= n_events {
+        let trace = self.trace;
+        let events = &trace.ranks[ri].events;
+        if ev >= events.len() {
             // Trailing compute, final sleep resolution, done.
             let misfire = match self.ranks[ri].pending_sleep {
                 Some((_, _, kind)) => self
@@ -770,7 +806,8 @@ impl<'a> Replay<'a> {
             Some(a) => (a.ranks[ri].overhead[ev], a.ranks[ri].penalty[ev]),
             None => (SimDuration::ZERO, SimDuration::ZERO),
         };
-        let compute = self.scratch.ev_compute[ev_base + ev];
+        let event = &events[ev];
+        let compute = event.compute_before;
 
         // Compute burst (+ mechanism overhead), then the rank wants the
         // network: resolve any pending sleep against that demand, then
@@ -820,33 +857,28 @@ impl<'a> Replay<'a> {
             }
         }
 
-        // The event's steps were laid out by `prepare`. A non-blocking
-        // receive is pure library bookkeeping and posts here, at
-        // expansion, leaving its `OpDone` as the only scheduled step.
-        self.ranks[ri].in_event = true;
-        let cur = self.ranks[ri].cur;
-        if self.scratch.step_kind[cur] == StepKind::IrecvPost {
-            let pair = self.scratch.step_arg[cur];
-            let req = self.scratch.step_bytes[cur] as u32;
-            let k = self.scratch.step_k[cur];
+        // A non-blocking receive is pure library bookkeeping and posts
+        // here, at expansion, leaving its `OpDone` as the only step.
+        let nprocs = trace.nprocs;
+        if let MpiOp::Irecv { from, req, .. } = event.op {
+            let (pair, k) = next_recv(&mut self.scratch.recv_next, from, r, nprocs);
             self.ranks[ri].reqs.insert(req, Req::Recv { pair, k });
             self.ranks[ri].t += POST_OVERHEAD;
-            self.ranks[ri].cur = cur + 1;
         }
+        self.ranks[ri].cur = self.scratch.lower_event(&event.op, r, nprocs);
+        self.ranks[ri].in_event = true;
         true
     }
 
-    /// Execute the micro step at rank `r`'s cursor (`cur` and `kind`
+    /// Execute the micro step at rank `r`'s cursor (`cur` and `step`
     /// come from the caller, which already loaded them to decide
     /// whether to gate on the heap).
-    fn execute_step(&mut self, r: Rank, cur: usize, kind: StepKind) -> StepOutcome {
+    fn execute_step(&mut self, r: Rank, cur: usize, step: Step) -> StepOutcome {
         let ri = r as usize;
-        match kind {
+        match step.kind {
             StepKind::Send => self.execute_send_run(r),
             StepKind::IsendPost => {
-                let to = self.scratch.step_arg[cur];
-                let bytes = self.scratch.step_bytes[cur];
-                let req = self.scratch.step_k[cur];
+                let (to, bytes, req) = (step.arg, step.bytes, step.k);
                 self.ranks[ri].cur = cur + 1;
                 let t0 = self.ranks[ri].t;
                 let (t, extra) = self.draw_send_fault(ri, t0, bytes);
@@ -857,8 +889,7 @@ impl<'a> Replay<'a> {
                 StepOutcome::Ran
             }
             StepKind::Recv => {
-                let pair = self.scratch.step_arg[cur];
-                let k = self.scratch.step_k[cur];
+                let (pair, k) = (step.arg, step.k);
                 match self.arrival(pair, k) {
                     Some(at) => {
                         self.ranks[ri].cur = cur + 1;
@@ -869,7 +900,7 @@ impl<'a> Replay<'a> {
                 }
             }
             StepKind::WaitReq => {
-                let req = self.scratch.step_arg[cur];
+                let req = step.arg;
                 let handle = *self.ranks[ri]
                     .reqs
                     .get(&req)
@@ -892,7 +923,6 @@ impl<'a> Replay<'a> {
                     },
                 }
             }
-            StepKind::IrecvPost => unreachable!("IrecvPost is consumed at event expansion"),
             StepKind::OpDone => {
                 self.ranks[ri].cur = cur + 1;
                 self.ranks[ri].in_event = false;
@@ -933,8 +963,7 @@ impl<'a> Replay<'a> {
         let mut cur = self.ranks[ri].cur;
         let mut fault_run = self.faults.as_mut().map(|plan| plan.link_run(ri));
         loop {
-            let to = self.scratch.step_arg[cur];
-            let bytes = self.scratch.step_bytes[cur];
+            let Step { arg: to, bytes, .. } = self.scratch.steps[cur];
             let (t_inj, extra) = match &mut fault_run {
                 Some(run) => {
                     let fault = run.send_fault(t);
@@ -976,7 +1005,7 @@ impl<'a> Replay<'a> {
             // Keep going only into another send (`OpDone` terminates every
             // event, so `cur` is in bounds), and only while the scheduler
             // would hand the quantum straight back to this rank anyway.
-            if self.scratch.step_kind[cur] != StepKind::Send {
+            if self.scratch.steps[cur].kind != StepKind::Send {
                 break;
             }
             if let Some(&Reverse(top)) = self.scratch.heap.peek() {
@@ -1236,6 +1265,48 @@ mod tests {
             assert_eq!(scratch.recv_next[p] as usize, cap, "pair {p} recvs");
             assert_eq!(scratch.parked_rank[p], NO_WAITER, "pair {p} waiter left");
         }
+    }
+
+    #[test]
+    fn step_windows_hold_one_event_per_rank() {
+        // Many events, the longest an alltoall (2 × (n − 1) micro steps):
+        // the step array must stay at one window of the longest event
+        // plus its `OpDone` per rank, however long the trace.
+        let n = 6u32;
+        let mut b = TraceBuilder::new("windows", n);
+        for _ in 0..200 {
+            for r in 0..n {
+                b.compute(r, us(5));
+                b.op(r, MpiOp::Allreduce { bytes: 64 });
+                b.op(r, MpiOp::Alltoall { bytes: 256 });
+                b.op(
+                    r,
+                    MpiOp::Sendrecv {
+                        to: (r + 1) % n,
+                        send_bytes: 512,
+                        from: (r + n - 1) % n,
+                        recv_bytes: 512,
+                    },
+                );
+            }
+        }
+        let t = b.build();
+        let mut scratch = ReplayScratch::new();
+        replay_with_scratch(
+            &t,
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+            &mut scratch,
+        )
+        .expect("replay");
+        let longest = 2 * (n as usize - 1);
+        assert!(
+            scratch.steps.len() <= n as usize * (longest + 1),
+            "{} steps for {n} ranks",
+            scratch.steps.len()
+        );
+        assert_eq!(scratch.stride, longest + 1);
     }
 
     #[test]

@@ -31,13 +31,23 @@ impl DetRng {
     /// that are uncorrelated in practice and — crucially — *stable*: adding
     /// a new consumer of randomness does not perturb existing streams.
     pub fn split(&self, label: u64) -> DetRng {
+        Self::split_from(self.split_key(), label)
+    }
+
+    /// The only part of [`DetRng::split`] that reads this generator: a
+    /// fresh draw from a clone, the same on every call until the
+    /// generator itself advances. A hot loop that splits one
+    /// non-advancing parent many times takes it once and calls
+    /// [`DetRng::split_from`].
+    pub fn split_key(&self) -> u64 {
+        self.inner.clone().gen::<u64>()
+    }
+
+    /// `parent.split(label)`, given `key = parent.split_key()`.
+    pub fn split_from(key: u64, label: u64) -> DetRng {
         // SplitMix64 finalizer over (fresh draw ^ label).
-        let mut z = self
-            .inner
-            .clone()
-            .gen::<u64>()
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let mut z =
+            key.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
