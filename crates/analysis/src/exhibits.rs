@@ -5,7 +5,7 @@
 //! and writes the JSON next to it.
 
 use crate::experiment::{run_runtime_only_jobs, run_with_baseline_jobs, RunConfig, RunResult};
-use crate::gt_select::{sweep, GtPoint};
+use crate::gt_select::GtPoint;
 use crate::paper_ref;
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine};
@@ -433,12 +433,7 @@ pub fn fig10(engine: &SweepEngine, seed: u64) -> Fig10Data {
     let curves = engine.run_cells(
         &cells,
         |&k| k,
-        |ctx, key, _| {
-            (
-                key.nprocs,
-                sweep(&ctx.trace, AppKind::Gromacs, SELECT_DISPLACEMENT),
-            )
-        },
+        |ctx, key, _| (key.nprocs, ctx.gt_curve(SELECT_DISPLACEMENT).to_vec()),
     );
     Fig10Data { curves }
 }
@@ -483,6 +478,36 @@ mod tests {
         let text = render_table1(&rows);
         assert!(text.contains("alya"));
         assert_eq!(text.lines().count(), 27);
+    }
+
+    #[test]
+    fn fig10_reads_the_curves_table3_swept() {
+        use crate::gt_select::sweep;
+        use crate::sweep::{SweepOptions, TraceFn};
+        use std::sync::Arc;
+
+        // Short traces keep the 25-cell Table III sweep cheap.
+        let short: TraceFn = Arc::new(|key: &CellKey| {
+            let alya = ibp_workloads::Alya {
+                iterations: 8,
+                ..Default::default()
+            };
+            ibp_workloads::Workload::generate(&alya, key.nprocs, key.seed)
+        });
+        let engine = SweepEngine::with_trace_fn(SweepOptions::with_jobs(2), short);
+        table3(&engine, &ExhibitGrid::paper(), SEED);
+        let before = engine.stats();
+        let data = fig10(&engine, SEED);
+        let d = engine.stats().since(&before);
+        assert_eq!(d.gt_selections, 0, "fig10 swept a curve again: {d:?}");
+        assert_eq!(d.gt_hits, 2, "{d:?}");
+        // One trace lookup per cell: the curve lookup reuses it.
+        assert_eq!((d.traces_generated, d.trace_hits), (0, 2), "{d:?}");
+        assert_eq!(data.curves.len(), 2);
+        for (n, curve) in &data.curves {
+            let trace = engine.trace(&CellKey::new(AppKind::Gromacs, *n, SEED));
+            assert_eq!(*curve, sweep(&trace, AppKind::Gromacs, SELECT_DISPLACEMENT));
+        }
     }
 
     #[test]

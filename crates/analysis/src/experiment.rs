@@ -12,7 +12,9 @@
 //! 5. report power saving vs the always-on baseline and the
 //!    execution-time increase.
 
-use ibp_core::{annotate_trace_jobs, PowerConfig, RankStats, TraceAnnotations};
+use ibp_core::{
+    annotate_trace_jobs, annotate_trace_stats, PowerConfig, RankStats, TraceAnnotations,
+};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
 use ibp_trace::Trace;
@@ -158,7 +160,9 @@ pub fn run(app: AppKind, nprocs: u32, cfg: &RunConfig) -> RunResult {
 }
 
 /// Runtime-only pass (annotation, no replay): cheap, used by GT sweeps.
-/// `est_saving_pct` and `hit_rate_pct` are filled; replay metrics are 0.
+/// `est_saving_pct`, `hit_rate_pct` and `stats` are filled; replay
+/// metrics are 0. The runtime keeps its stats only (see
+/// [`annotate_trace_stats`]), never the per-event output a replay needs.
 pub fn run_runtime_only(trace: &Trace, app: AppKind, cfg: &RunConfig) -> RunResult {
     run_runtime_only_jobs(trace, app, cfg, 1)
 }
@@ -172,19 +176,19 @@ pub fn run_runtime_only_jobs(
     rank_jobs: usize,
 ) -> RunResult {
     let pc = cfg.power_config();
-    let ann = annotate_trace_jobs(trace, &pc, rank_jobs);
+    let ranks = annotate_trace_stats(trace, &pc, rank_jobs);
     RunResult {
         app: app.name().to_string(),
         nprocs: trace.nprocs,
         gt_us: cfg.gt_us,
         displacement: cfg.displacement,
-        hit_rate_pct: ann.mean_hit_rate_pct(),
+        hit_rate_pct: RankStats::mean_hit_rate_pct(&ranks),
         power_saving_pct: 0.0,
         slowdown_pct: 0.0,
-        est_saving_pct: ann.mean_est_power_saving_pct(pc.low_power_fraction),
+        est_saving_pct: RankStats::mean_est_power_saving_pct(&ranks, pc.low_power_fraction),
         baseline_exec: SimDuration::ZERO,
         managed_exec: SimDuration::ZERO,
-        stats: ann.aggregate_stats(),
+        stats: RankStats::aggregate(&ranks),
     }
 }
 

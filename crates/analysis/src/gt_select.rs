@@ -23,7 +23,7 @@ pub const GT_GRID_US: &[f64] = &[
 ];
 
 /// One sweep point (one GT value on one trace).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GtPoint {
     /// Grouping threshold, µs.
     pub gt_us: f64,

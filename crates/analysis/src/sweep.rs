@@ -29,7 +29,7 @@
 //! property test pin the byte equality.
 
 use crate::experiment::make_trace;
-use crate::gt_select::{choose_gt, GtPoint};
+use crate::gt_select::{select, sweep, GtPoint};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_trace::Trace;
 use ibp_workloads::{AppKind, Scaling};
@@ -188,9 +188,9 @@ pub struct SweepStats {
     pub baselines_computed: u64,
     /// Baseline-cache hits.
     pub baseline_hits: u64,
-    /// GT-selection sweeps computed (unique (key, displacement) pairs).
+    /// GT curves swept (unique (key, displacement) pairs).
     pub gt_selections: u64,
-    /// GT-selection cache hits.
+    /// GT-curve cache hits (selections and whole-curve lookups alike).
     pub gt_hits: u64,
     /// Wall-clock milliseconds covered by these counters.
     pub wall_ms: u64,
@@ -292,7 +292,10 @@ pub struct SweepEngine {
     trace_fn: TraceFn,
     traces: KeyedCache<CellKey, Trace>,
     baselines: KeyedCache<CellKey, SimResult>,
-    gt_choices: KeyedCache<(CellKey, u64), GtPoint>,
+    /// Whole GT curves per (key, displacement bits): a selection is a
+    /// `select` over the cached curve, and Fig. 10 reads the curves
+    /// Table III already swept.
+    gt_curves: KeyedCache<(CellKey, u64), Vec<GtPoint>>,
     cells: AtomicU64,
     started: Instant,
 }
@@ -316,7 +319,7 @@ impl SweepEngine {
             trace_fn,
             traces: KeyedCache::new(),
             baselines: KeyedCache::new(),
-            gt_choices: KeyedCache::new(),
+            gt_curves: KeyedCache::new(),
             cells: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -346,12 +349,18 @@ impl SweepEngine {
         })
     }
 
-    /// The memoized GT selection for `key` at `displacement`.
-    pub fn choose_gt(&self, key: &CellKey, displacement: f64) -> Arc<GtPoint> {
-        let trace = self.trace(key);
-        self.gt_choices
+    /// The GT selected ([`select`]) from the memoized curve of `key` at
+    /// `displacement`.
+    pub fn choose_gt(&self, key: &CellKey, displacement: f64) -> GtPoint {
+        select(&self.gt_curve(key, &self.trace(key), displacement)).clone()
+    }
+
+    /// The memoized GT sweep ([`sweep`]) of `key`'s trace at
+    /// `displacement`.
+    fn gt_curve(&self, key: &CellKey, trace: &Trace, displacement: f64) -> Arc<Vec<GtPoint>> {
+        self.gt_curves
             .get_or_compute(&(*key, displacement.to_bits()), || {
-                choose_gt(&trace, key.app, displacement)
+                sweep(trace, key.app, displacement)
             })
     }
 
@@ -427,8 +436,8 @@ impl SweepEngine {
             trace_hits: self.traces.hits.load(Ordering::Relaxed),
             baselines_computed: self.baselines.computed.load(Ordering::Relaxed),
             baseline_hits: self.baselines.hits.load(Ordering::Relaxed),
-            gt_selections: self.gt_choices.computed.load(Ordering::Relaxed),
-            gt_hits: self.gt_choices.hits.load(Ordering::Relaxed),
+            gt_selections: self.gt_curves.computed.load(Ordering::Relaxed),
+            gt_hits: self.gt_curves.hits.load(Ordering::Relaxed),
             wall_ms: self.started.elapsed().as_millis() as u64,
         }
     }
@@ -463,8 +472,13 @@ impl CellCtx<'_> {
     }
 
     /// The memoized GT selection for this cell at `displacement`.
-    pub fn choose_gt(&self, displacement: f64) -> Arc<GtPoint> {
+    pub fn choose_gt(&self, displacement: f64) -> GtPoint {
         self.engine.choose_gt(&self.key, displacement)
+    }
+
+    /// The memoized GT curve of this cell's trace at `displacement`.
+    pub fn gt_curve(&self, displacement: f64) -> Arc<Vec<GtPoint>> {
+        self.engine.gt_curve(&self.key, &self.trace, displacement)
     }
 
     /// A seed derived from the cell key and `salt` — the only sanctioned

@@ -6,7 +6,7 @@
 //! replayed through the network simulator (`ibp-network`).
 
 use crate::config::PowerConfig;
-use crate::runtime::{annotate_rank, RankAnnotation};
+use crate::runtime::{annotate_rank, annotate_rank_stats, RankAnnotation};
 use crate::stats::RankStats;
 use ibp_trace::{RankTrace, Trace};
 use serde::{Deserialize, Serialize};
@@ -25,36 +25,18 @@ impl TraceAnnotations {
     /// recomputed from the sums, which matches the paper's "averaged over
     /// all MPI processes").
     pub fn aggregate_stats(&self) -> RankStats {
-        let mut agg = RankStats::default();
-        for r in &self.ranks {
-            agg.merge(&r.stats);
-        }
-        agg
+        RankStats::aggregate(self.ranks.iter().map(|r| &r.stats))
     }
 
     /// Mean per-rank hit rate (Table III averages per process).
     pub fn mean_hit_rate_pct(&self) -> f64 {
-        if self.ranks.is_empty() {
-            return 0.0;
-        }
-        self.ranks
-            .iter()
-            .map(|r| r.stats.hit_rate_pct())
-            .sum::<f64>()
-            / self.ranks.len() as f64
+        RankStats::mean_hit_rate_pct(self.ranks.iter().map(|r| &r.stats))
     }
 
     /// Mean per-rank quick power-saving estimate (%), see
     /// [`RankStats::est_power_saving_pct`].
     pub fn mean_est_power_saving_pct(&self, low_power_draw: f64) -> f64 {
-        if self.ranks.is_empty() {
-            return 0.0;
-        }
-        self.ranks
-            .iter()
-            .map(|r| r.stats.est_power_saving_pct(low_power_draw))
-            .sum::<f64>()
-            / self.ranks.len() as f64
+        RankStats::mean_est_power_saving_pct(self.ranks.iter().map(|r| &r.stats), low_power_draw)
     }
 
     /// Total number of lane-off directives across ranks.
@@ -144,6 +126,15 @@ pub fn annotate_trace_jobs(trace: &Trace, cfg: &PowerConfig, jobs: usize) -> Tra
     TraceAnnotations {
         ranks: map_ranks(&trace.ranks, jobs, |r| annotate_rank(r, cfg)),
     }
+}
+
+/// Per-rank statistics of [`annotate_trace_jobs`] without its per-event
+/// output: the runtime makes the same decisions but records no
+/// directives, overheads or penalties. GT sweeps and other runtime-only
+/// passes read nothing else. Equal to
+/// `annotate_trace_jobs(trace, cfg, jobs).ranks[i].stats` for every rank.
+pub fn annotate_trace_stats(trace: &Trace, cfg: &PowerConfig, jobs: usize) -> Vec<RankStats> {
+    map_ranks(&trace.ranks, jobs, |r| annotate_rank_stats(r, cfg))
 }
 
 #[cfg(test)]

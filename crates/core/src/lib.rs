@@ -53,8 +53,8 @@ pub mod snapshot;
 pub mod stats;
 
 pub use annotate::{
-    annotate_trace, annotate_trace_jobs, effective_jobs, map_ranks, TraceAnnotations,
-    SERIAL_CUTOVER_EVENTS,
+    annotate_trace, annotate_trace_jobs, annotate_trace_stats, effective_jobs, map_ranks,
+    TraceAnnotations, SERIAL_CUTOVER_EVENTS,
 };
 pub use baselines::{
     history_annotate_rank, history_annotate_trace, history_annotate_trace_jobs,

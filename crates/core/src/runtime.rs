@@ -227,6 +227,10 @@ pub struct RankRuntime {
     pending: Option<PendingSleep>,
     resilience: ResilienceState,
     stats: RankStats,
+    /// Whether the per-event output below is kept. Only the crate's
+    /// stats-only passes ([`annotate_rank_stats`]) clear it; every
+    /// public constructor records.
+    record: bool,
     directives: Vec<LaneDirective>,
     overhead: Vec<SimDuration>,
     penalty: Vec<SimDuration>,
@@ -254,6 +258,7 @@ impl RankRuntime {
             pending: None,
             resilience: ResilienceState::default(),
             stats: RankStats::default(),
+            record: true,
             directives: Vec::new(),
             overhead: Vec::new(),
             penalty: Vec::new(),
@@ -266,11 +271,13 @@ impl RankRuntime {
     /// (predicting) intercept path performs no heap allocation at all —
     /// asserted by the counting-allocator test in `tests/alloc_free.rs`.
     pub fn reserve_events(&mut self, additional: usize) {
-        self.overhead.reserve(additional);
-        self.penalty.reserve(additional);
-        // At most one directive per event; grams only close on gram
-        // boundaries but never outnumber events.
-        self.directives.reserve(additional);
+        if self.record {
+            self.overhead.reserve(additional);
+            self.penalty.reserve(additional);
+            // At most one directive per event.
+            self.directives.reserve(additional);
+        }
+        // Grams only close on gram boundaries but never outnumber events.
         self.grams.reserve(additional);
         self.gram_ids.reserve(additional);
     }
@@ -496,13 +503,15 @@ impl RankRuntime {
                                 self.cfg.plan_sleep_with(disp, predicted_idle)
                             };
                             if let Some((kind, timer)) = plan {
-                                self.directives.push(LaneDirective {
-                                    after_event: self.event_idx,
-                                    delay: SimDuration::ZERO,
-                                    timer,
-                                    predicted_idle,
-                                    kind,
-                                });
+                                if self.record {
+                                    self.directives.push(LaneDirective {
+                                        after_event: self.event_idx,
+                                        delay: SimDuration::ZERO,
+                                        timer,
+                                        predicted_idle,
+                                        kind,
+                                    });
+                                }
                                 self.stats.lane_off_count += 1;
                                 self.pending = Some(PendingSleep { timer, kind });
                             }
@@ -531,8 +540,10 @@ impl RankRuntime {
             }
         }
 
-        self.overhead.push(event_overhead);
-        self.penalty.push(event_penalty);
+        if self.record {
+            self.overhead.push(event_overhead);
+            self.penalty.push(event_penalty);
+        }
         self.event_idx += 1;
     }
 
@@ -689,6 +700,7 @@ impl RankRuntime {
                 guard: snap.resilience.guard,
             },
             stats: snap.stats.clone(),
+            record: true,
             directives: Vec::new(),
             overhead: Vec::new(),
             penalty: Vec::new(),
@@ -785,13 +797,15 @@ impl RankRuntime {
                 self.cfg.plan_sleep_with(disp, predicted_idle)
             };
             if let Some((kind, timer)) = plan {
-                self.directives.push(LaneDirective {
-                    after_event: self.event_idx,
-                    delay: SimDuration::ZERO,
-                    timer,
-                    predicted_idle,
-                    kind,
-                });
+                if self.record {
+                    self.directives.push(LaneDirective {
+                        after_event: self.event_idx,
+                        delay: SimDuration::ZERO,
+                        timer,
+                        predicted_idle,
+                        kind,
+                    });
+                }
                 self.stats.lane_off_count += 1;
                 self.pending = Some(PendingSleep { timer, kind });
             }
@@ -827,12 +841,24 @@ impl RankRuntime {
 
 /// Run the full mechanism over one rank's recorded stream.
 pub fn annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
-    let mut rt = RankRuntime::new(trace.rank, cfg.clone());
+    run_rank(RankRuntime::new(trace.rank, cfg.clone()), trace).finish(trace.final_compute)
+}
+
+/// The stats of [`annotate_rank`], computed without per-event output.
+pub(crate) fn annotate_rank_stats(trace: &RankTrace, cfg: &PowerConfig) -> RankStats {
+    let rt = RankRuntime {
+        record: false,
+        ..RankRuntime::new(trace.rank, cfg.clone())
+    };
+    run_rank(rt, trace).finish(trace.final_compute).stats
+}
+
+fn run_rank(mut rt: RankRuntime, trace: &RankTrace) -> RankRuntime {
     rt.reserve_events(trace.call_count());
     for (call, gap) in trace.call_stream() {
         rt.intercept(call, gap);
     }
-    rt.finish(trace.final_compute)
+    rt
 }
 
 #[cfg(test)]

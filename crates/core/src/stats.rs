@@ -158,6 +158,51 @@ impl RankStats {
             100.0 * self.mechanism_added_time().as_secs_f64() / total
         }
     }
+
+    /// Counters summed over ranks (ratios are then recomputed from the
+    /// sums, the paper's "averaged over all MPI processes").
+    pub fn aggregate<'a>(ranks: impl IntoIterator<Item = &'a RankStats>) -> RankStats {
+        let mut agg = RankStats::default();
+        for r in ranks {
+            agg.merge(r);
+        }
+        agg
+    }
+
+    /// Mean per-rank hit rate (Table III averages per process); 0 for no
+    /// ranks.
+    pub fn mean_hit_rate_pct<'a>(ranks: impl IntoIterator<Item = &'a RankStats>) -> f64 {
+        mean_over(ranks, RankStats::hit_rate_pct)
+    }
+
+    /// Mean per-rank quick power-saving estimate (%), see
+    /// [`RankStats::est_power_saving_pct`]; 0 for no ranks.
+    pub fn mean_est_power_saving_pct<'a>(
+        ranks: impl IntoIterator<Item = &'a RankStats>,
+        low_power_draw: f64,
+    ) -> f64 {
+        mean_over(ranks, |r| r.est_power_saving_pct(low_power_draw))
+    }
+}
+
+/// Mean of `metric` over `ranks`, summed in rank order; 0 for no ranks.
+fn mean_over<'a>(
+    ranks: impl IntoIterator<Item = &'a RankStats>,
+    metric: impl Fn(&RankStats) -> f64,
+) -> f64 {
+    let mut n = 0usize;
+    let sum = ranks
+        .into_iter()
+        .map(|r| {
+            n += 1;
+            metric(r)
+        })
+        .sum::<f64>();
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! rank-parallel annotation path.
 
 use ibp_core::{
-    annotate_trace, annotate_trace_jobs, GramBuilder, GramInterner, Ppa, PowerConfig,
-    ResilienceConfig,
+    annotate_trace, annotate_trace_jobs, annotate_trace_stats, GramBuilder, GramInterner,
+    PowerConfig, Ppa, ResilienceConfig,
 };
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
@@ -180,6 +180,53 @@ proptest! {
         let a = serde_json::to_string(&serial.ranks).expect("serialize");
         let b = serde_json::to_string(&parallel.ranks).expect("serialize");
         prop_assert!(a == b, "{} @{nprocs} seed {seed} jobs {jobs}: outputs differ", app.name());
+    }
+
+    /// The stats-only pass keeps exactly the stats of the recording pass,
+    /// rank by rank, for every sleep policy, with and without the
+    /// resilience controller, at any worker count.
+    #[test]
+    fn stats_only_annotation_matches_recording_stats(
+        app_idx in 0usize..5,
+        nprocs_sel in 0usize..16,
+        seed in 0u64..1_000,
+        jobs_sel in 0usize..3,
+        gt_us in 20u64..400,
+        disp in 0.01f64..0.2,
+        policy in 0usize..3,
+        resilient in any::<bool>(),
+        storm_threshold in 1u32..6,
+        budget_pct in 0.0f64..5.0,
+    ) {
+        let app = AppKind::ALL[app_idx];
+        let w = app.workload();
+        let valid: Vec<u32> = (2..=16).filter(|&n| w.valid_nprocs(n)).collect();
+        let nprocs = valid[nprocs_sel % valid.len()];
+        let trace = w.generate(nprocs, seed);
+        let jobs = [1, 2, 4][jobs_sel];
+
+        let mut cfg = PowerConfig::paper(SimDuration::from_us(gt_us), disp);
+        cfg = match policy {
+            0 => cfg,
+            1 => cfg.with_deep_sleep(SimDuration::from_ms(2)),
+            _ => cfg.with_ladder(),
+        };
+        if resilient {
+            let mut r = ResilienceConfig::with_budget(budget_pct);
+            r.storm_threshold = storm_threshold;
+            cfg = cfg.with_resilience(r);
+        }
+
+        let full = annotate_trace_jobs(&trace, &cfg, jobs);
+        let stats = annotate_trace_stats(&trace, &cfg, jobs);
+        prop_assert_eq!(stats.len(), full.ranks.len());
+        for (r, (only, rec)) in stats.iter().zip(&full.ranks).enumerate() {
+            prop_assert!(
+                *only == rec.stats,
+                "{} @{nprocs} seed {seed} jobs {jobs} policy {policy}: rank {r} stats differ",
+                app.name()
+            );
+        }
     }
 
     /// plan_sleep falls back gracefully: it returns Deep only above the

@@ -102,11 +102,11 @@ impl Fabric {
             *c += 1;
             *c
         };
-        let mut msg_rng = DetRng::split_from(
-            self.route_key,
-            (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF),
-        );
-        let route = self.topo.route_inline(src, dst, &mut msg_rng);
+        let route = self.topo.route_inline(src, dst, |tops| {
+            // Only cross-leaf routes draw, so only they split a stream.
+            let label = (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF);
+            DetRng::split_from(self.route_key, label).index(tops)
+        });
         let serial = self.serial(bytes);
         let mut head = send_time + self.params.mpi_latency;
         let mut contended = false;

@@ -127,7 +127,7 @@ impl FatTree {
     /// # Panics
     /// Panics if `src == dst` (loopback traffic never enters the fabric).
     pub fn route(&self, src: Rank, dst: Rank, rng: &mut DetRng) -> Route {
-        let inline = self.route_inline(src, dst, rng);
+        let inline = self.route_inline(src, dst, |tops| rng.index(tops));
         Route {
             channels: inline.channels().to_vec(),
             hops: inline.hops,
@@ -136,12 +136,20 @@ impl FatTree {
 
     /// [`FatTree::route`] without the `Vec`: the fabric calls this once
     /// per message, so the channels come back in fixed inline storage.
-    /// Draws from `rng` exactly like [`FatTree::route`] (same route, same
-    /// stream position).
+    /// `pick_top(top_count)` chooses the top switch, and is called only
+    /// for a cross-leaf route, so a caller can defer building its
+    /// generator until a draw is needed. With `|n| rng.index(n)` it
+    /// draws exactly like [`FatTree::route`] (same route, same stream
+    /// position).
     ///
     /// # Panics
     /// Panics if `src == dst` (loopback traffic never enters the fabric).
-    pub fn route_inline(&self, src: Rank, dst: Rank, rng: &mut DetRng) -> InlineRoute {
+    pub fn route_inline(
+        &self,
+        src: Rank,
+        dst: Rank,
+        pick_top: impl FnOnce(usize) -> usize,
+    ) -> InlineRoute {
         assert_ne!(src, dst, "loopback route requested");
         let (sn, dn) = (self.node_of(src), self.node_of(dst));
         let (sl, dl) = (self.leaf_of(sn), self.leaf_of(dn));
@@ -152,7 +160,7 @@ impl FatTree {
                 hops: 1,
             }
         } else {
-            let top = rng.index(self.top_count as usize) as u32;
+            let top = pick_top(self.top_count as usize) as u32;
             InlineRoute {
                 channels: [
                     self.host_up(sn),
@@ -253,7 +261,7 @@ mod tests {
             let mut rng_b = DetRng::seed_from_u64(9);
             for _ in 0..50 {
                 let vec_route = t.route(src, dst, &mut rng_a);
-                let inline = t.route_inline(src, dst, &mut rng_b);
+                let inline = t.route_inline(src, dst, |n| rng_b.index(n));
                 assert_eq!(vec_route.channels, inline.channels());
                 assert_eq!(vec_route.hops, inline.hops);
             }
