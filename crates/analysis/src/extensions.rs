@@ -17,10 +17,7 @@
 use crate::experiment::RunConfig;
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine, VARIANT_JITTER, VARIANT_WEAK};
-use ibp_core::{
-    annotate_trace, history_annotate_trace_jobs, oracle_annotate_trace_jobs,
-    reactive_annotate_trace_jobs, PowerConfig, TraceAnnotations,
-};
+use ibp_core::{annotate_trace, Baseline, PowerConfig, TraceAnnotations};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
 use ibp_trace::Trace;
@@ -60,8 +57,8 @@ fn bt_square(nprocs: u32) -> u32 {
     }
 }
 
-/// Compare the predictive mechanism against the oracle and reactive
-/// baselines on every application at `nprocs` ranks.
+/// Compare the predictive mechanism against the oracle, reactive and
+/// history-window [`Baseline`]s on every application at `nprocs` ranks.
 pub fn policy_ablation(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<PolicyOutcome> {
     let cells: Vec<CellKey> = AppKind::ALL
         .iter()
@@ -83,23 +80,17 @@ pub fn policy_ablation(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<Poli
             let trace = &*ctx.trace;
             let baseline = ctx.baseline();
 
-            let jobs = ctx.rank_jobs;
-            let policies: Vec<(String, TraceAnnotations)> = vec![
-                ("ppa".into(), ctx.annotate(&cfg)),
-                ("oracle".into(), oracle_annotate_trace_jobs(trace, &cfg, jobs)),
-                (
-                    "reactive-0us".into(),
-                    reactive_annotate_trace_jobs(trace, &cfg, SimDuration::ZERO, jobs),
-                ),
-                (
-                    "reactive-50us".into(),
-                    reactive_annotate_trace_jobs(trace, &cfg, SimDuration::from_us(50), jobs),
-                ),
-                (
-                    "history-8".into(),
-                    history_annotate_trace_jobs(trace, &cfg, 8, jobs),
-                ),
+            let baselines = [
+                ("oracle", Baseline::Oracle),
+                ("reactive-0us", Baseline::Reactive { timeout: SimDuration::ZERO }),
+                ("reactive-50us", Baseline::Reactive { timeout: SimDuration::from_us(50) }),
+                ("history-8", Baseline::History { window: 8 }),
             ];
+            let mut policies: Vec<(String, TraceAnnotations)> =
+                vec![("ppa".into(), ctx.annotate(&cfg))];
+            policies.extend(baselines.iter().map(|(label, b)| {
+                (label.to_string(), b.annotate_trace(trace, &cfg, ctx.rank_jobs))
+            }));
             policies
                 .into_iter()
                 .map(|(name, ann)| {
@@ -481,7 +472,6 @@ pub fn render_robustness(rows: &[RobustnessPoint]) -> String {
 mod tests {
     use super::*;
     use crate::sweep::SweepOptions;
-    use ibp_core::{oracle_annotate_trace, reactive_annotate_trace};
     use ibp_workloads::Workload;
 
     #[test]
@@ -494,7 +484,7 @@ mod tests {
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
         let (ppa_s, ppa_d) = run_policy(&trace, &baseline, &annotate_trace(&trace, &cfg), &params);
         let (ora_s, ora_d) =
-            run_policy(&trace, &baseline, &oracle_annotate_trace(&trace, &cfg), &params);
+            run_policy(&trace, &baseline, &Baseline::Oracle.annotate_trace(&trace, &cfg, 1), &params);
         assert!(ora_s >= ppa_s, "oracle {ora_s} < ppa {ppa_s}");
         assert!(ora_d <= ppa_d + 0.05, "oracle slowdown {ora_d} vs ppa {ppa_d}");
     }
@@ -510,7 +500,7 @@ mod tests {
         let (rea_s, rea_d) = run_policy(
             &trace,
             &baseline,
-            &reactive_annotate_trace(&trace, &cfg, SimDuration::ZERO),
+            &Baseline::Reactive { timeout: SimDuration::ZERO }.annotate_trace(&trace, &cfg, 1),
             &params,
         );
         // Reactive exploits every gap (even unpredictable ones) → more

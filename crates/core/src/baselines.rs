@@ -3,275 +3,143 @@
 //! The paper motivates software prediction by contrast with two families
 //! from its related work: hardware on/off schemes that react to observed
 //! idleness (Alonso et al., Kim et al.) and idealised knowledge of link
-//! usage (compiler-directed schemes, Li et al.). This module implements
-//! both ends of that spectrum so the predictive mechanism can be placed
-//! between them quantitatively:
+//! usage (compiler-directed schemes, Li et al.). [`Baseline`] implements
+//! both ends of that spectrum, plus a pattern-blind predictor between
+//! them, so the predictive mechanism can be placed among them
+//! quantitatively.
 //!
-//! * [`oracle_annotate_rank`] — perfect knowledge of every idle interval:
-//!   lanes shut down at the start of each exploitable gap and wake
-//!   *exactly* on time, with zero mispredictions and zero software
-//!   overhead. The unreachable upper bound on savings at zero slowdown.
-//! * [`reactive_annotate_rank`] — the hardware baseline: lanes shut down
-//!   after the link has been idle for a timeout τ, and wake *on demand*
-//!   when the next communication arrives, stalling it for a full
-//!   `T_react`. More aggressive than prediction (it exploits every gap
-//!   longer than τ, predictable or not) but pays the reactivation
-//!   latency on the critical path every single time — exactly the
-//!   trade-off the paper's introduction describes.
+//! Every baseline runs one event loop over the rank's stream and hands
+//! its predicted idle to the same sleep ledger the PPA runtime uses:
+//! the ledger picks the depth under the configured [`PowerPolicy`],
+//! computes the Algorithm 3 timer, and charges stalls and low-power time
+//! per depth. The arms differ only in where the predicted idle comes
+//! from and how the sleep ends. The output is an ordinary
+//! [`RankAnnotation`], so the replay engine and the analysis pipeline
+//! treat it exactly like the predictive runtime's.
 //!
-//! Both produce ordinary [`RankAnnotation`]s, so the replay engine and
-//! the analysis pipeline treat them exactly like the predictive runtime.
+//! [`PowerPolicy`]: crate::config::PowerPolicy
 
-use crate::config::{PowerConfig, SleepKind};
-use crate::runtime::{LaneDirective, RankAnnotation};
+use crate::config::PowerConfig;
+use crate::ledger::{SleepLedger, Wake};
+use crate::runtime::RankAnnotation;
 use crate::stats::RankStats;
+use crate::TraceAnnotations;
 use ibp_simcore::SimDuration;
 use ibp_trace::{RankTrace, Trace};
+use std::collections::VecDeque;
 
-/// Annotate one rank with the oracle policy (see module docs).
-pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
-    let n = trace.call_count();
-    let mut directives = Vec::new();
-    // The oracle "predicts" everything correctly.
-    let mut stats = RankStats {
-        total_calls: n as u64,
-        predicted_calls: n as u64,
-        correct_calls: n as u64,
-        ..RankStats::default()
-    };
-
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
-        stats.nominal_duration += gap;
-        // Exploitable iff the lanes can go down and come back inside the
-        // gap with some low-power time left: gap > 2·T_react.
-        if i > 0 && gap > cfg.t_react * 2 {
-            // Wake exactly on time: off at gap start, timer such that
-            // reactivation completes exactly when the gap ends.
-            let timer = gap - cfg.t_react;
-            directives.push(LaneDirective {
-                after_event: i - 1,
-                delay: SimDuration::ZERO,
-                timer,
-                predicted_idle: gap,
-                kind: SleepKind::Wrps,
-            });
-            stats.lane_off_count += 1;
-            stats.low_power_time += timer - cfg.t_react;
-        }
-    }
-    stats.nominal_duration += trace.final_compute;
-
-    RankAnnotation {
-        rank: trace.rank,
-        directives,
-        overhead: vec![SimDuration::ZERO; n],
-        penalty: vec![SimDuration::ZERO; n],
-        stats,
-    }
+/// A non-predictive power-management policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Baseline {
+    /// Perfect knowledge of every idle interval: lanes shut down at the
+    /// start of each exploitable gap and wake *exactly* on time (zero
+    /// displacement), with no mispredictions and no software overhead.
+    /// The unreachable upper bound on savings at zero slowdown.
+    Oracle,
+    /// The hardware baseline: lanes shut down once the link has been
+    /// idle for `timeout` (τ) and wake *on demand* when the next
+    /// communication arrives, stalling it for a full reactivation. It
+    /// exploits every gap longer than `τ + 2·T_react`, predictable or
+    /// not, but pays the reactivation latency on the critical path every
+    /// time — the trade-off the paper's introduction describes. `τ = 0`
+    /// shuts down right after every call.
+    Reactive {
+        /// Idleness threshold before the lanes go down.
+        timeout: SimDuration,
+    },
+    /// A history-window predictor (the hardware DVS-style policy of
+    /// Shang et al., [7] in the paper): the next idle is predicted as the
+    /// mean of the last `window` observed gaps, with no notion of
+    /// patterns, and Algorithm 3's timer is applied to it. It wakes
+    /// proactively, unlike the reactive policy, but at every transition
+    /// between long-gap and short-gap program phases the sliding mean is
+    /// wrong, and the stalls and lost windows land exactly there.
+    History {
+        /// Number of past gaps averaged (at least one).
+        window: usize,
+    },
 }
 
-/// Annotate one rank with the reactive idle-timeout policy (see module
-/// docs). `timeout` is the idleness threshold τ after which the lanes
-/// shut down; `τ = 0` shuts down immediately after every call.
-pub fn reactive_annotate_rank(
-    trace: &RankTrace,
-    cfg: &PowerConfig,
-    timeout: SimDuration,
-) -> RankAnnotation {
-    let n = trace.call_count();
-    let mut directives = Vec::new();
-    let overhead = vec![SimDuration::ZERO; n];
-    let mut penalty = vec![SimDuration::ZERO; n];
-    let mut stats = RankStats {
-        total_calls: n as u64,
-        ..RankStats::default()
-    };
-
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
-        stats.nominal_duration += gap;
-        // The hardware monitors idleness: once the link has been quiet
-        // for τ, the lanes go down. Profitable only if some low-power
-        // time remains after the off transition and before the demand
-        // wake: gap > τ + 2·T_react (the wake transition then delays the
-        // arriving call by a full T_react).
-        if i > 0 && gap > timeout + cfg.t_react * 2 {
-            directives.push(LaneDirective {
-                after_event: i - 1,
-                delay: timeout,
-                // The demand wake clamps the window; a timer longer than
-                // the gap means "sleep until traffic arrives".
-                timer: gap,
-                predicted_idle: gap,
-                kind: SleepKind::Wrps,
-            });
-            stats.lane_off_count += 1;
-            stats.low_power_time += gap - timeout - cfg.t_react;
-            // Full reactivation stall on the communication that wakes it.
-            penalty[i] = cfg.t_react;
-            stats.total_penalty += cfg.t_react;
-            stats.timing_mispredictions += 1;
+impl Baseline {
+    /// Annotate one rank with this policy.
+    ///
+    /// # Panics
+    /// Panics on a [`Baseline::History`] with an empty window.
+    pub fn annotate_rank(&self, trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
+        if let Baseline::History { window } = *self {
+            assert!(window > 0, "history window must be non-empty");
         }
-    }
-    stats.nominal_duration += trace.final_compute;
+        let n = trace.call_count();
+        let mut ledger = SleepLedger::new(true, None);
+        ledger.reserve(n);
+        let mut stats = RankStats {
+            total_calls: n as u64,
+            ..RankStats::default()
+        };
+        if *self == Baseline::Oracle {
+            // The oracle "predicts" everything correctly.
+            stats.predicted_calls = n as u64;
+            stats.correct_calls = n as u64;
+        }
+        let mut history: VecDeque<u64> = VecDeque::new();
+        for (i, ev) in trace.events.iter().enumerate() {
+            let gap = ev.compute_before;
+            stats.nominal_duration += gap;
+            let stall = ledger.wake(cfg, &mut stats, gap).unwrap_or_default();
+            ledger.close_event(SimDuration::ZERO, stall);
 
-    RankAnnotation {
-        rank: trace.rank,
-        directives,
-        overhead,
-        penalty,
-        stats,
-    }
-}
-
-/// Annotate one rank with a history-window predictor (the hardware
-/// DVS-style policy of Shang et al., [7] in the paper): the next idle
-/// interval is predicted as the mean of the last `window` observed
-/// inter-call gaps, with no notion of patterns. Algorithm 3's timer
-/// formula is then applied to that prediction.
-///
-/// This is the instructive middle ground: unlike the reactive policy it
-/// wakes up proactively (no unconditional `T_react` stall), but unlike
-/// the PPA it has no idea *which* gap comes next — at every transition
-/// between long-gap and short-gap program phases the sliding mean is
-/// wrong, and the stalls and lost windows land exactly there.
-pub fn history_annotate_rank(
-    trace: &RankTrace,
-    cfg: &PowerConfig,
-    window: usize,
-) -> RankAnnotation {
-    assert!(window > 0, "history window must be non-empty");
-    let n = trace.call_count();
-    let mut directives: Vec<LaneDirective> = Vec::new();
-    let overhead = vec![SimDuration::ZERO; n];
-    let mut penalty = vec![SimDuration::ZERO; n];
-    let mut stats = RankStats {
-        total_calls: n as u64,
-        ..RankStats::default()
-    };
-
-    let mut history: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
-        stats.nominal_duration += gap;
-
-        // Evaluate the directive issued after the previous event (if any)
-        // against the actual gap.
-        if let Some(d) = directives.last() {
-            if d.after_event + 1 == i {
-                let ready = d.timer + cfg.t_react;
-                let stall = ready.saturating_sub(gap).min(cfg.t_react);
-                if !stall.is_zero() {
-                    stats.timing_mispredictions += 1;
-                    stats.total_penalty += stall;
-                    penalty[i] = stall;
+            // Sleep through the gap before the next event, if any.
+            let Some(next) = trace.events.get(i + 1) else {
+                break;
+            };
+            let (delay, predicted_idle, wake) = match *self {
+                Baseline::Oracle => (
+                    SimDuration::ZERO,
+                    next.compute_before,
+                    Wake::Timer { displacement: 0.0 },
+                ),
+                // The hardware sees the gap as it happens: off after τ,
+                // on when the next call arrives.
+                Baseline::Reactive { timeout } => (timeout, next.compute_before, Wake::Demand),
+                Baseline::History { window } => {
+                    history.push_back(gap.as_ns());
+                    if history.len() > window {
+                        history.pop_front();
+                    }
+                    let mean_ns = history.iter().sum::<u64>() / history.len() as u64;
+                    (
+                        SimDuration::ZERO,
+                        SimDuration::from_ns(mean_ns),
+                        Wake::Timer {
+                            displacement: cfg.displacement,
+                        },
+                    )
                 }
-                let span = d.timer.min(gap).saturating_sub(cfg.t_react);
-                stats.low_power_time += span;
-            }
+            };
+            ledger.sleep(cfg, &mut stats, i, delay, predicted_idle, wake);
         }
+        stats.nominal_duration += trace.final_compute;
+        ledger.into_annotation(trace.rank, stats)
+    }
 
-        // Predict the NEXT gap from the sliding mean and decide whether
-        // to sleep after this call completes.
-        history.push_back(gap.as_ns());
-        if history.len() > window {
-            history.pop_front();
+    /// Annotate every rank of `trace`, `jobs` ranks at a time; the
+    /// output is identical for any `jobs`.
+    pub fn annotate_trace(
+        &self,
+        trace: &Trace,
+        cfg: &PowerConfig,
+        jobs: usize,
+    ) -> TraceAnnotations {
+        TraceAnnotations {
+            ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| self.annotate_rank(r, cfg)),
         }
-        let mean_ns = history.iter().sum::<u64>() / history.len() as u64;
-        let predicted = SimDuration::from_ns(mean_ns);
-        if i + 1 < n {
-            if let Some(timer) = cfg.lane_off_timer(predicted) {
-                directives.push(LaneDirective {
-                    after_event: i,
-                    delay: SimDuration::ZERO,
-                    timer,
-                    predicted_idle: predicted,
-                    kind: SleepKind::Wrps,
-                });
-                stats.lane_off_count += 1;
-            }
-        }
-    }
-
-    RankAnnotation {
-        rank: trace.rank,
-        directives,
-        overhead,
-        penalty,
-        stats,
-    }
-}
-
-/// History-window policy over a whole trace.
-pub fn history_annotate_trace(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    window: usize,
-) -> crate::TraceAnnotations {
-    history_annotate_trace_jobs(trace, cfg, window, 1)
-}
-
-/// [`history_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn history_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    window: usize,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| {
-            history_annotate_rank(r, cfg, window)
-        }),
-    }
-}
-
-/// Oracle policy over a whole trace.
-pub fn oracle_annotate_trace(trace: &Trace, cfg: &PowerConfig) -> crate::TraceAnnotations {
-    oracle_annotate_trace_jobs(trace, cfg, 1)
-}
-
-/// [`oracle_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn oracle_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| oracle_annotate_rank(r, cfg)),
-    }
-}
-
-/// Reactive policy over a whole trace.
-pub fn reactive_annotate_trace(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    timeout: SimDuration,
-) -> crate::TraceAnnotations {
-    reactive_annotate_trace_jobs(trace, cfg, timeout, 1)
-}
-
-/// [`reactive_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn reactive_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    timeout: SimDuration,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| {
-            reactive_annotate_rank(r, cfg, timeout)
-        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate_trace;
+    use crate::config::{PowerPolicy, SleepKind};
     use ibp_trace::{MpiOp, TraceBuilder};
 
     fn us(x: u64) -> SimDuration {
@@ -292,7 +160,7 @@ mod tests {
     fn oracle_exploits_every_large_gap_without_penalty() {
         let t = mixed_trace();
         let cfg = PowerConfig::default();
-        let ann = oracle_annotate_rank(&t.ranks[0], &cfg);
+        let ann = Baseline::Oracle.annotate_rank(&t.ranks[0], &cfg);
         // 9 large gaps follow a previous event (the first event's gap has
         // no preceding event to anchor the directive on).
         assert_eq!(ann.directives.len(), 9);
@@ -308,7 +176,7 @@ mod tests {
     fn reactive_pays_treact_on_every_exploited_gap() {
         let t = mixed_trace();
         let cfg = PowerConfig::default();
-        let ann = reactive_annotate_rank(&t.ranks[0], &cfg, us(50));
+        let ann = Baseline::Reactive { timeout: us(50) }.annotate_rank(&t.ranks[0], &cfg);
         assert_eq!(ann.directives.len(), 9);
         let stalls = ann.penalty.iter().filter(|p| !p.is_zero()).count();
         assert_eq!(stalls, 9);
@@ -323,7 +191,7 @@ mod tests {
         let t = mixed_trace();
         let cfg = PowerConfig::default();
         // τ = 600 µs: no gap qualifies.
-        let ann = reactive_annotate_rank(&t.ranks[0], &cfg, us(600));
+        let ann = Baseline::Reactive { timeout: us(600) }.annotate_rank(&t.ranks[0], &cfg);
         assert!(ann.directives.is_empty());
         assert!(ann.stats.low_power_time.is_zero());
     }
@@ -341,8 +209,8 @@ mod tests {
         }
         let t = b.build();
         let cfg = PowerConfig::paper(us(20).max(SimDuration::from_us(20)), 0.01);
-        let oracle = oracle_annotate_trace(&t, &cfg);
-        let predicted = annotate_trace(&t, &cfg);
+        let oracle = Baseline::Oracle.annotate_trace(&t, &cfg, 1);
+        let predicted = crate::annotate::annotate_trace(&t, &cfg);
         let o = oracle.aggregate_stats().low_power_time;
         let p = predicted.aggregate_stats().low_power_time;
         assert!(o >= p, "oracle {o} < predictive {p}");
@@ -357,7 +225,7 @@ mod tests {
         // wasted). The PPA learns the alternation exactly.
         let t = mixed_trace();
         let cfg = PowerConfig::default();
-        let hist = history_annotate_rank(&t.ranks[0], &cfg, 4);
+        let hist = Baseline::History { window: 4 }.annotate_rank(&t.ranks[0], &cfg);
         assert!(hist.stats.timing_mispredictions > 0, "no stalls?");
         let ppa = crate::runtime::annotate_rank(&t.ranks[0], &cfg);
         // Same trace, steady state: the PPA's per-slot means are exact,
@@ -381,8 +249,8 @@ mod tests {
         }
         let t = b.build();
         let cfg = PowerConfig::default();
-        let hist = history_annotate_rank(&t.ranks[0], &cfg, 8);
-        let oracle = oracle_annotate_rank(&t.ranks[0], &cfg);
+        let hist = Baseline::History { window: 8 }.annotate_rank(&t.ranks[0], &cfg);
+        let oracle = Baseline::Oracle.annotate_rank(&t.ranks[0], &cfg);
         assert_eq!(hist.stats.timing_mispredictions, 0);
         let h = hist.stats.low_power_time.as_us_f64();
         let o = oracle.stats.low_power_time.as_us_f64();
@@ -399,11 +267,105 @@ mod tests {
         // power/performance trade the paper's introduction describes.
         let t = mixed_trace();
         let cfg = PowerConfig::default();
-        let oracle = oracle_annotate_rank(&t.ranks[0], &cfg);
-        let reactive = reactive_annotate_rank(&t.ranks[0], &cfg, SimDuration::ZERO);
+        let oracle = Baseline::Oracle.annotate_rank(&t.ranks[0], &cfg);
+        let reactive = Baseline::Reactive {
+            timeout: SimDuration::ZERO,
+        }
+        .annotate_rank(&t.ranks[0], &cfg);
         let extra = reactive.stats.low_power_time - oracle.stats.low_power_time;
         assert_eq!(extra, cfg.t_react * 9, "one T_react per exploited gap");
         assert!(reactive.stats.total_penalty > SimDuration::ZERO);
         assert!(oracle.stats.total_penalty.is_zero());
+    }
+
+    /// One rank whose gaps fall in every rung band of the ladder —
+    /// 10 µs (nothing), 500 µs (rate), 2 ms (rate), 10 ms (deep) — each
+    /// long gap twice in a row, four times over, then 100 µs of compute.
+    fn rungs_trace() -> Trace {
+        let mut b = TraceBuilder::new("rungs", 1);
+        for _ in 0..4 {
+            for g in [10, 500, 500, 2_000, 2_000, 10_000, 10_000] {
+                b.compute(0, us(g));
+                b.op(0, MpiOp::Barrier);
+            }
+        }
+        b.compute(0, us(100));
+        b.build()
+    }
+
+    #[test]
+    fn every_policy_reports_the_same_nominal_duration() {
+        let t = rungs_trace();
+        let r = &t.ranks[0];
+        let expect: SimDuration =
+            r.events.iter().map(|e| e.compute_before).sum::<SimDuration>() + r.final_compute;
+        assert_eq!(expect, us(100_140));
+        let cfg = PowerConfig::default();
+        let ppa = crate::runtime::annotate_rank(r, &cfg);
+        assert_eq!(ppa.stats.nominal_duration, expect, "ppa");
+        for b in [
+            Baseline::Oracle,
+            Baseline::Reactive { timeout: us(50) },
+            Baseline::History { window: 4 },
+        ] {
+            assert_eq!(b.annotate_rank(r, &cfg).stats.nominal_duration, expect, "{b:?}");
+        }
+    }
+
+    /// Under a deep or laddered policy every baseline sleeps at the depth
+    /// the planner picks for its predicted idle, stalls a call by at most
+    /// that depth's reactivation time, and books its spans per depth.
+    #[test]
+    fn baselines_follow_the_sleep_depth_policy() {
+        let t = rungs_trace();
+        let r = &t.ranks[0];
+        // (timing misses, lane-offs, wrps/rate/deep time, stall), in µs.
+        let stats = |timing, lane_offs, wrps, rate, deep, stall| RankStats {
+            total_calls: 28,
+            timing_mispredictions: timing,
+            lane_off_count: lane_offs,
+            low_power_time: us(wrps),
+            rate_time: us(rate),
+            deep_time: us(deep),
+            total_penalty: us(stall),
+            nominal_duration: us(100_140),
+            ..RankStats::default()
+        };
+        let oracle = |s: RankStats| RankStats {
+            predicted_calls: 28,
+            correct_calls: 28,
+            ..s
+        };
+        let deep = PowerConfig::default().with_deep_sleep(SimDuration::from_ms(5));
+        let ladder = PowerConfig::default().with_ladder();
+        let reactive = Baseline::Reactive { timeout: us(50) };
+        let history = Baseline::History { window: 1 };
+        let cases = [
+            (&deep, Baseline::Oracle, oracle(stats(0, 24, 19_680, 0, 64_000, 0))),
+            (&deep, reactive, stats(24, 24, 19_040, 0, 71_600, 8_160)),
+            (&deep, history, stats(3, 23, 17_680, 0, 28_000, 3_000)),
+            (&ladder, Baseline::Oracle, oracle(stats(0, 24, 0, 16_800, 64_000, 0))),
+            (&ladder, reactive, stats(24, 24, 3_520, 14_800, 71_600, 8_880)),
+            (&ladder, history, stats(3, 23, 0, 14_800, 28_000, 3_000)),
+        ];
+        for (cfg, b, expect) in cases {
+            let ann = b.annotate_rank(r, cfg);
+            let displacement = match b {
+                Baseline::History { .. } => cfg.displacement,
+                _ => 0.0,
+            };
+            for d in &ann.directives {
+                let idle = d.predicted_idle - d.delay;
+                let (kind, _) = cfg.plan_sleep_with(displacement, idle).unwrap();
+                assert_eq!(d.kind, kind, "{b:?}: depth for {idle}");
+                assert!(ann.penalty[d.after_event + 1] <= cfg.react_of(d.kind), "{b:?}");
+            }
+            for kind in [SleepKind::Rate, SleepKind::Deep] {
+                let used = ann.directives.iter().any(|d| d.kind == kind);
+                let allowed = cfg.policy == PowerPolicy::Ladder || kind == SleepKind::Deep;
+                assert_eq!(used, allowed, "{b:?} {kind:?}");
+            }
+            assert_eq!(ann.stats, expect, "{:?} {b:?}", cfg.policy);
+        }
     }
 }

@@ -261,44 +261,6 @@ impl PowerConfig {
         }
     }
 
-    /// Minimum legal grouping threshold, `2·T_react`.
-    pub fn min_gt(&self) -> SimDuration {
-        self.t_react * 2
-    }
-
-    /// The lane-off timer for a predicted idle interval, per Algorithm 3:
-    ///
-    /// ```text
-    /// safetyLimit      = idleTime * displacement + T_react
-    /// predictIdleTime  = idleTime - safetyLimit
-    /// ```
-    ///
-    /// Returns `None` when the resulting window leaves no net low-power
-    /// time (i.e. `predictIdleTime ≤ T_react`, since the off-transition
-    /// itself consumes `T_react` at full power).
-    pub fn lane_off_timer(&self, predicted_idle: SimDuration) -> Option<SimDuration> {
-        self.lane_off_timer_with(self.displacement, predicted_idle)
-    }
-
-    /// [`PowerConfig::lane_off_timer`] with an explicit displacement —
-    /// the resilience controller widens the effective displacement (its
-    /// guard band) after timing mispredictions.
-    pub fn lane_off_timer_with(
-        &self,
-        displacement: f64,
-        predicted_idle: SimDuration,
-    ) -> Option<SimDuration> {
-        let safety = predicted_idle.mul_f64(displacement) + self.t_react;
-        let timer = predicted_idle.saturating_sub(safety);
-        (timer > self.t_react).then_some(timer)
-    }
-
-    /// Relative power saved while a link sits in low-power mode
-    /// (`1 − low_power_fraction`, ≈ 0.57 for WRPS).
-    pub fn low_power_saving(&self) -> f64 {
-        1.0 - self.low_power_fraction
-    }
-
     /// The paper's §VI extension: same mechanism, but predicted idles of
     /// at least `threshold` also power down switch buffers/crossbar
     /// (deep state: 1 ms reactivation, 10% draw).
@@ -357,9 +319,17 @@ impl PowerConfig {
     }
 
     /// Plan a sleep for a predicted idle interval: pick the depth (per
-    /// the policy) and compute the Algorithm 3 timer for it. Deep sleep
-    /// falls back to WRPS when the idle is below the deep threshold or
-    /// the deep timer would be unprofitable.
+    /// the policy) and compute the Algorithm 3 timer for it,
+    ///
+    /// ```text
+    /// safetyLimit      = idleTime * displacement + T_react
+    /// predictIdleTime  = idleTime - safetyLimit
+    /// ```
+    ///
+    /// with the chosen depth's reactivation time as `T_react`. A depth is
+    /// unprofitable when `predictIdleTime` does not exceed its `T_react`
+    /// (the off transition itself takes that long at full power). Deeper
+    /// states fall back to shallower ones, and WRPS to no sleep at all.
     pub fn plan_sleep(&self, predicted_idle: SimDuration) -> Option<(SleepKind, SimDuration)> {
         self.plan_sleep_with(self.displacement, predicted_idle)
     }
@@ -396,7 +366,7 @@ impl PowerConfig {
                 }
             }
         }
-        self.lane_off_timer_with(displacement, predicted_idle)
+        self.depth_timer_with(displacement, predicted_idle, SleepKind::Wrps)
             .map(|t| (SleepKind::Wrps, t))
     }
 
@@ -550,17 +520,17 @@ mod tests {
     fn lane_off_timer_follows_algorithm3() {
         let c = PowerConfig::paper(SimDuration::from_us(20), 0.10);
         // idle = 1000 µs: safety = 100 + 10 = 110 µs, timer = 890 µs.
-        let timer = c.lane_off_timer(SimDuration::from_us(1000)).unwrap();
-        assert_eq!(timer, SimDuration::from_us(890));
+        let plan = c.plan_sleep(SimDuration::from_us(1000));
+        assert_eq!(plan, Some((SleepKind::Wrps, SimDuration::from_us(890))));
     }
 
     #[test]
     fn lane_off_timer_rejects_unprofitable_windows() {
         let c = PowerConfig::paper(SimDuration::from_us(20), 0.10);
         // idle = 20 µs: timer = 20 - 2 - 10 = 8 µs ≤ T_react → no saving.
-        assert!(c.lane_off_timer(SimDuration::from_us(20)).is_none());
+        assert!(c.plan_sleep(SimDuration::from_us(20)).is_none());
         // idle = 0 must not underflow.
-        assert!(c.lane_off_timer(SimDuration::ZERO).is_none());
+        assert!(c.plan_sleep(SimDuration::ZERO).is_none());
     }
 
     #[test]
@@ -568,7 +538,8 @@ mod tests {
         let c = PowerConfig::paper(SimDuration::from_us(36), 0.05);
         let mut last = SimDuration::ZERO;
         for us in (40..2000).step_by(37) {
-            if let Some(t) = c.lane_off_timer(SimDuration::from_us(us)) {
+            if let Some((kind, t)) = c.plan_sleep(SimDuration::from_us(us)) {
+                assert_eq!(kind, SleepKind::Wrps);
                 assert!(t >= last, "timer must grow with idle time");
                 last = t;
             }
@@ -586,12 +557,6 @@ mod tests {
     #[should_panic(expected = "displacement")]
     fn rejects_bad_displacement() {
         let _ = PowerConfig::paper(SimDuration::from_us(20), 1.5);
-    }
-
-    #[test]
-    fn low_power_saving_is_complement() {
-        let c = PowerConfig::default();
-        assert!((c.low_power_saving() - 0.57).abs() < 1e-12);
     }
 
     #[test]

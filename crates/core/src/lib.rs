@@ -14,6 +14,9 @@
 //!   kinds (pattern break, late reactivation);
 //! * [`annotate`] — whole-trace application, producing the lane
 //!   directives / overheads / penalties that `ibp-network` replays;
+//! * [`baselines`] — oracle, reactive-timeout and history-window
+//!   policies, planned and accounted by the same sleep ledger as the
+//!   runtime;
 //! * [`stats`] — hit-rate and overhead accounting (Tables III & IV).
 //!
 //! ## Quickstart
@@ -46,6 +49,7 @@ pub mod annotate;
 pub mod baselines;
 pub mod config;
 pub mod gram;
+mod ledger;
 pub mod pattern;
 pub mod ppa;
 pub mod runtime;
@@ -56,11 +60,7 @@ pub use annotate::{
     annotate_trace, annotate_trace_jobs, annotate_trace_stats, effective_jobs, map_ranks,
     TraceAnnotations, SERIAL_CUTOVER_EVENTS,
 };
-pub use baselines::{
-    history_annotate_rank, history_annotate_trace, history_annotate_trace_jobs,
-    oracle_annotate_rank, oracle_annotate_trace, oracle_annotate_trace_jobs,
-    reactive_annotate_rank, reactive_annotate_trace, reactive_annotate_trace_jobs,
-};
+pub use baselines::Baseline;
 pub use config::{PowerConfig, PowerPolicy, ResilienceConfig, SleepKind};
 pub use gram::{Gram, GramBuilder, GramId, GramInterner};
 pub use pattern::{

@@ -23,6 +23,7 @@
 
 use crate::config::{PowerConfig, ResilienceConfig, SleepKind};
 use crate::gram::{Gram, GramBuilder, GramId, GramInterner};
+use crate::ledger::{PendingSleep, SleepLedger, Wake};
 use crate::pattern::PatternId;
 use crate::ppa::{seed_slot_gaps, Ppa};
 use crate::snapshot::{
@@ -94,12 +95,6 @@ enum Mode {
         /// Calls already matched within the current slot's gram.
         progress: usize,
     },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingSleep {
-    timer: SimDuration,
-    kind: SleepKind,
 }
 
 /// Mutable state of the adaptive resilience controller (see
@@ -224,16 +219,12 @@ pub struct RankRuntime {
     gram_ids: Vec<GramId>,
     ppa: Ppa,
     mode: Mode,
-    pending: Option<PendingSleep>,
     resilience: ResilienceState,
     stats: RankStats,
-    /// Whether the per-event output below is kept. Only the crate's
-    /// stats-only passes ([`annotate_rank_stats`]) clear it; every
-    /// public constructor records.
-    record: bool,
-    directives: Vec<LaneDirective>,
-    overhead: Vec<SimDuration>,
-    penalty: Vec<SimDuration>,
+    /// Armed sleep and per-event output. Only the crate's stats-only
+    /// passes ([`annotate_rank_stats`]) stop it recording; every public
+    /// constructor records.
+    ledger: SleepLedger,
     event_idx: usize,
 }
 
@@ -255,13 +246,9 @@ impl RankRuntime {
             gram_ids: Vec::new(),
             ppa,
             mode: Mode::Learning,
-            pending: None,
             resilience: ResilienceState::default(),
             stats: RankStats::default(),
-            record: true,
-            directives: Vec::new(),
-            overhead: Vec::new(),
-            penalty: Vec::new(),
+            ledger: SleepLedger::new(true, None),
             event_idx: 0,
         }
     }
@@ -271,12 +258,7 @@ impl RankRuntime {
     /// (predicting) intercept path performs no heap allocation at all —
     /// asserted by the counting-allocator test in `tests/alloc_free.rs`.
     pub fn reserve_events(&mut self, additional: usize) {
-        if self.record {
-            self.overhead.reserve(additional);
-            self.penalty.reserve(additional);
-            // At most one directive per event.
-            self.directives.reserve(additional);
-        }
+        self.ledger.reserve(additional);
         // Grams only close on gram boundaries but never outnumber events.
         self.grams.reserve(additional);
         self.gram_ids.reserve(additional);
@@ -285,12 +267,6 @@ impl RankRuntime {
     /// Whether prediction (power-mode control) is currently active.
     pub fn predicting(&self) -> bool {
         matches!(self.mode, Mode::Predicting { .. })
-    }
-
-    /// Whether the resilience controller currently holds prediction off
-    /// after a misprediction storm.
-    pub fn holdoff_active(&self) -> bool {
-        self.resilience.holdoff_remaining > 0
     }
 
     /// Current guard band (extra displacement) of the resilience
@@ -308,7 +284,7 @@ impl RankRuntime {
     /// consumers (the `ibp-serve` sessions) drain this incrementally by
     /// remembering how many they have already forwarded.
     pub fn directives(&self) -> &[LaneDirective] {
-        &self.directives
+        &self.ledger.directives
     }
 
     /// Number of events intercepted so far.
@@ -334,7 +310,7 @@ impl RankRuntime {
     /// its depth and the programmed HCA wake-up timer.
     #[must_use]
     pub fn pending_sleep(&self) -> Option<(SleepKind, SimDuration)> {
-        self.pending.map(|p| (p.kind, p.timer))
+        self.ledger.pending.map(|p| (p.kind, p.timer))
     }
 
     /// The PPA's current prediction horizon: the mean idle gap predicted
@@ -346,16 +322,19 @@ impl RankRuntime {
             Mode::Learning => None,
             Mode::Predicting { pattern, shapes, slot, progress } => {
                 let next = if *progress == 0 { *slot } else { (*slot + 1) % shapes.len() };
-                Some(
-                    self.ppa
-                        .pattern_list()
-                        .entry(*pattern)
-                        .and_then(|e| e.slot_gaps.get(next))
-                        .map(|m| m.mean())
-                        .unwrap_or(SimDuration::ZERO),
-                )
+                Some(self.slot_mean(*pattern, next))
             }
         }
+    }
+
+    /// The running mean idle gap of `slot` in `pattern`.
+    fn slot_mean(&self, pattern: PatternId, slot: usize) -> SimDuration {
+        self.ppa
+            .pattern_list()
+            .entry(pattern)
+            .and_then(|e| e.slot_gaps.get(slot))
+            .map(|m| m.mean())
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Occupancy of the resilience controller's sliding misprediction
@@ -429,14 +408,8 @@ impl RankRuntime {
 
                 if *progress == 0 {
                     // This event terminates the predicted idle gap.
-                    if let Some(p) = self.pending.take() {
-                        let react = self.cfg.react_of(p.kind);
-                        // Lanes ready at gap start + timer + react time.
-                        let ready = p.timer + react;
-                        let stall = ready.saturating_sub(gap).min(react);
+                    if let Some(stall) = self.ledger.wake(&self.cfg, &mut self.stats, gap) {
                         if !stall.is_zero() {
-                            self.stats.timing_mispredictions += 1;
-                            self.stats.total_penalty += stall;
                             event_penalty += stall;
                             if self.resilience.note_timing_misprediction(
                                 &self.cfg.resilience,
@@ -447,15 +420,6 @@ impl RankRuntime {
                             }
                         } else {
                             self.resilience.note_clean_wake(&self.cfg.resilience);
-                        }
-                        // Low-power span actually achieved: from the off
-                        // transition's end until the timer fired — or
-                        // until the early call forced a wake-up.
-                        let span = p.timer.min(gap).saturating_sub(react);
-                        match p.kind {
-                            SleepKind::Wrps => self.stats.low_power_time += span,
-                            SleepKind::Rate => self.stats.rate_time += span,
-                            SleepKind::Deep => self.stats.deep_time += span,
                         }
                     }
                     if gap < gt {
@@ -488,35 +452,10 @@ impl RankRuntime {
                             // Expected gram complete: program the lane-off
                             // for the gap before the next slot.
                             let next = (*slot + 1) % shapes.len();
-                            let predicted_idle = self
-                                .ppa
-                                .pattern_list()
-                                .entry(*pattern)
-                                .and_then(|e| e.slot_gaps.get(next))
-                                .map(|m| m.mean())
-                                .unwrap_or(SimDuration::ZERO);
-                            let plan = if budget_exceeded(&self.cfg.resilience, &self.stats) {
-                                self.stats.suppressed_directives += 1;
-                                None
-                            } else {
-                                let disp = self.cfg.displacement + self.resilience.guard;
-                                self.cfg.plan_sleep_with(disp, predicted_idle)
-                            };
-                            if let Some((kind, timer)) = plan {
-                                if self.record {
-                                    self.directives.push(LaneDirective {
-                                        after_event: self.event_idx,
-                                        delay: SimDuration::ZERO,
-                                        timer,
-                                        predicted_idle,
-                                        kind,
-                                    });
-                                }
-                                self.stats.lane_off_count += 1;
-                                self.pending = Some(PendingSleep { timer, kind });
-                            }
                             *slot = next;
                             *progress = 0;
+                            let pattern = *pattern;
+                            self.arm_sleep(pattern, next);
                         }
                     }
                 }
@@ -540,10 +479,7 @@ impl RankRuntime {
             }
         }
 
-        if self.record {
-            self.overhead.push(event_overhead);
-            self.penalty.push(event_penalty);
-        }
+        self.ledger.close_event(event_overhead, event_penalty);
         self.event_idx += 1;
     }
 
@@ -585,7 +521,7 @@ impl RankRuntime {
                     progress: *progress,
                 },
             },
-            pending: self.pending.map(|p| PendingSleepSnapshot {
+            pending: self.ledger.pending.map(|p| PendingSleepSnapshot {
                 timer: p.timer,
                 kind: p.kind,
             }),
@@ -688,10 +624,6 @@ impl RankRuntime {
             gram_ids: snap.gram_ids.clone(),
             ppa,
             mode,
-            pending: snap.pending.map(|p| PendingSleep {
-                timer: p.timer,
-                kind: p.kind,
-            }),
             resilience: ResilienceState {
                 recent_pattern: snap.resilience.recent_pattern.iter().copied().collect(),
                 recent_timing: snap.resilience.recent_timing.iter().copied().collect(),
@@ -700,10 +632,14 @@ impl RankRuntime {
                 guard: snap.resilience.guard,
             },
             stats: snap.stats.clone(),
-            record: true,
-            directives: Vec::new(),
-            overhead: Vec::new(),
-            penalty: Vec::new(),
+            ledger: SleepLedger::new(
+                true,
+                snap.pending.map(|p| PendingSleep {
+                    delay: SimDuration::ZERO,
+                    timer: p.timer,
+                    kind: p.kind,
+                }),
+            ),
             event_idx: snap.event_idx,
         })
     }
@@ -715,13 +651,7 @@ impl RankRuntime {
             self.grams.push(closed.clone());
             self.gram_ids.push(closed.id);
         }
-        RankAnnotation {
-            rank: self.rank,
-            directives: self.directives,
-            overhead: self.overhead,
-            penalty: self.penalty,
-            stats: self.stats,
-        }
+        self.ledger.into_annotation(self.rank, self.stats)
     }
 
     /// Switch to prediction mode for `pattern`; `first_call` is the call
@@ -782,33 +712,7 @@ impl RankRuntime {
             // Slot 0's gram is already complete; issue its directive and
             // move to slot 1 (or wrap).
             let next = 1 % shapes.len();
-            let predicted_idle = self
-                .ppa
-                .pattern_list()
-                .entry(pattern_id)
-                .and_then(|e| e.slot_gaps.get(next))
-                .map(|m| m.mean())
-                .unwrap_or(SimDuration::ZERO);
-            let plan = if budget_exceeded(&self.cfg.resilience, &self.stats) {
-                self.stats.suppressed_directives += 1;
-                None
-            } else {
-                let disp = self.cfg.displacement + self.resilience.guard;
-                self.cfg.plan_sleep_with(disp, predicted_idle)
-            };
-            if let Some((kind, timer)) = plan {
-                if self.record {
-                    self.directives.push(LaneDirective {
-                        after_event: self.event_idx,
-                        delay: SimDuration::ZERO,
-                        timer,
-                        predicted_idle,
-                        kind,
-                    });
-                }
-                self.stats.lane_off_count += 1;
-                self.pending = Some(PendingSleep { timer, kind });
-            }
+            self.arm_sleep(pattern_id, next);
             self.mode = Mode::Predicting {
                 pattern: pattern_id,
                 shapes,
@@ -825,10 +729,30 @@ impl RankRuntime {
         }
     }
 
+    /// An expected gram just completed on the current event: arm a sleep
+    /// for the idle predicted before `slot`, unless the slowdown budget
+    /// is spent. The guard band widens the displacement margin.
+    fn arm_sleep(&mut self, pattern: PatternId, slot: usize) {
+        if budget_exceeded(&self.cfg.resilience, &self.stats) {
+            self.stats.suppressed_directives += 1;
+            return;
+        }
+        let predicted_idle = self.slot_mean(pattern, slot);
+        let displacement = self.cfg.displacement + self.resilience.guard;
+        self.ledger.sleep(
+            &self.cfg,
+            &mut self.stats,
+            self.event_idx,
+            SimDuration::ZERO,
+            predicted_idle,
+            Wake::Timer { displacement },
+        );
+    }
+
     /// Pattern misprediction: relaunch the PPA and restart gram formation
     /// with the diverging call as the first event of a fresh gram.
     fn fall_back_to_learning(&mut self, call: MpiCall, gap: SimDuration) {
-        self.pending = None;
+        self.ledger.pending = None;
         self.mode = Mode::Learning;
         self.builder = GramBuilder::new(&self.cfg);
         self.ppa.relaunch(self.gram_ids.len());
@@ -847,7 +771,7 @@ pub fn annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
 /// The stats of [`annotate_rank`], computed without per-event output.
 pub(crate) fn annotate_rank_stats(trace: &RankTrace, cfg: &PowerConfig) -> RankStats {
     let rt = RankRuntime {
-        record: false,
+        ledger: SleepLedger::new(false, None),
         ..RankRuntime::new(trace.rank, cfg.clone())
     };
     run_rank(rt, trace).finish(trace.final_compute).stats
@@ -1068,7 +992,7 @@ mod tests {
     fn storm_triggers_exponential_holdoff() {
         let mut rt = RankRuntime::new(0, resilient_cfg());
         feed_storm(&mut rt, 30);
-        let holding = rt.holdoff_active();
+        let holding = rt.holdoff_remaining() > 0;
         let ann = rt.finish(SimDuration::ZERO);
         assert!(
             ann.stats.storms >= 1,

@@ -6,19 +6,11 @@ use ibp_core::{
     PowerConfig, Ppa, ResilienceConfig,
 };
 use ibp_simcore::SimDuration;
-use ibp_trace::MpiCall;
 use ibp_workloads::AppKind;
 use proptest::prelude::*;
 
-fn call_of(idx: u8) -> MpiCall {
-    match idx % 5 {
-        0 => MpiCall::Send,
-        1 => MpiCall::Recv,
-        2 => MpiCall::Allreduce,
-        3 => MpiCall::Sendrecv,
-        _ => MpiCall::Barrier,
-    }
-}
+mod common;
+use common::{call_of, paper_trace};
 
 proptest! {
     /// Gram formation is a partition: every event lands in exactly one
@@ -114,7 +106,8 @@ proptest! {
     fn lane_off_timer_bounds(idle_us in 0u64..1_000_000, disp in 0.0f64..0.5) {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), disp);
         let idle = SimDuration::from_us(idle_us);
-        if let Some(timer) = cfg.lane_off_timer(idle) {
+        if let Some((kind, timer)) = cfg.plan_sleep(idle) {
+            prop_assert_eq!(kind, ibp_core::SleepKind::Wrps);
             prop_assert!(timer > cfg.t_react);
             prop_assert!(timer + cfg.t_react <= idle, "wake after the idle ends");
             // Safety margin honoured: wake completes at least disp·idle
@@ -149,12 +142,7 @@ proptest! {
         deep in any::<bool>(),
         window_sel in 0usize..3,
     ) {
-        let app = AppKind::ALL[app_idx];
-        let w = app.workload();
-        let valid: Vec<u32> = (2..=16).filter(|&n| w.valid_nprocs(n)).collect();
-        prop_assert!(!valid.is_empty());
-        let nprocs = valid[nprocs_sel % valid.len()];
-        let trace = w.generate(nprocs, seed);
+        let (app, nprocs, trace) = paper_trace(app_idx, nprocs_sel, seed);
 
         let mut cfg = PowerConfig::paper(SimDuration::from_us(gt_us), disp);
         if resilient {
@@ -198,11 +186,7 @@ proptest! {
         storm_threshold in 1u32..6,
         budget_pct in 0.0f64..5.0,
     ) {
-        let app = AppKind::ALL[app_idx];
-        let w = app.workload();
-        let valid: Vec<u32> = (2..=16).filter(|&n| w.valid_nprocs(n)).collect();
-        let nprocs = valid[nprocs_sel % valid.len()];
-        let trace = w.generate(nprocs, seed);
+        let (app, nprocs, trace) = paper_trace(app_idx, nprocs_sel, seed);
         let jobs = [1, 2, 4][jobs_sel];
 
         let mut cfg = PowerConfig::paper(SimDuration::from_us(gt_us), disp);

@@ -76,3 +76,10 @@ fn golden_generation_frontier() {
     );
     assert_matches_golden("generation_frontier.json", &rows);
 }
+
+#[test]
+fn golden_ablation() {
+    let rows = ibp_analysis::extensions::policy_ablation(engine(), 16, SEED);
+    assert_eq!(rows.len(), 5 * 5, "5 apps x 5 policies");
+    assert_matches_golden("ablation.json", &rows);
+}
