@@ -99,8 +99,17 @@ pub fn table1(engine: &SweepEngine, grid: &ExhibitGrid, seed: u64) -> Vec<Table1
 /// per bucket).
 pub fn render_table1(rows: &[Table1Row]) -> String {
     let mut t = Table::new(&[
-        "app", "N", "<20us n", "<20us %", "<20us t%", "20-200 n", "20-200 %", "20-200 t%",
-        ">200 n", ">200 %", ">200 t%",
+        "app",
+        "N",
+        "<20us n",
+        "<20us %",
+        "<20us t%",
+        "20-200 n",
+        "20-200 %",
+        "20-200 t%",
+        ">200 n",
+        ">200 %",
+        ">200 t%",
     ]);
     for r in rows {
         t.row(vec![
@@ -166,9 +175,7 @@ pub fn table3(engine: &SweepEngine, grid: &ExhibitGrid, seed: u64) -> Vec<Table3
 
 /// Render Table III with paper columns alongside.
 pub fn render_table3(rows: &[Table3Row]) -> String {
-    let mut t = Table::new(&[
-        "app", "N", "GT us", "hit %", "paper GT", "paper hit",
-    ]);
+    let mut t = Table::new(&["app", "N", "GT us", "hit %", "paper GT", "paper hit"]);
     for r in rows {
         t.row(vec![
             r.app.clone(),
@@ -224,7 +231,13 @@ pub fn table4(engine: &SweepEngine, seed: u64) -> Vec<Table4Row> {
 /// Render Table IV.
 pub fn render_table4(rows: &[Table4Row]) -> String {
     let mut t = Table::new(&[
-        "app", "PPA calls %", "(paper)", "us/invoked", "(paper)", "us/call", "(paper)",
+        "app",
+        "PPA calls %",
+        "(paper)",
+        "us/invoked",
+        "(paper)",
+        "us/call",
+        "(paper)",
     ]);
     let mut avg = (0.0, 0.0, 0.0);
     for r in rows {
@@ -297,7 +310,8 @@ pub fn figure(
         |ctx, key, _| {
             let best = ctx.choose_gt(SELECT_DISPLACEMENT);
             let cfg = RunConfig::new(best.gt_us, displacement);
-            let r = run_with_baseline_jobs(&ctx.trace, key.app, &cfg, &ctx.baseline(), ctx.rank_jobs);
+            let r =
+                run_with_baseline_jobs(&ctx.trace, key.app, &cfg, &ctx.baseline(), ctx.rank_jobs);
             (best.gt_us, r)
         },
     );
@@ -340,10 +354,7 @@ pub fn figure(
         }
         rows.push(row);
     }
-    FigureData {
-        displacement,
-        rows,
-    }
+    FigureData { displacement, rows }
 }
 
 /// Render a figure as two tables (savings, slowdown) with the AVERAGE
@@ -402,7 +413,10 @@ pub fn render_figure(fig: &FigureData) -> String {
             let cell = if row.paper_slowdown_pct.is_empty() {
                 format!("{:.2}", row.slowdown_pct[i])
             } else {
-                format!("{:.2} ({:.2})", row.slowdown_pct[i], row.paper_slowdown_pct[i])
+                format!(
+                    "{:.2} ({:.2})",
+                    row.slowdown_pct[i], row.paper_slowdown_pct[i]
+                )
             };
             cells.push(cell);
         }

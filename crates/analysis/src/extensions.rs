@@ -82,14 +82,27 @@ pub fn policy_ablation(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<Poli
 
             let baselines = [
                 ("oracle", Baseline::Oracle),
-                ("reactive-0us", Baseline::Reactive { timeout: SimDuration::ZERO }),
-                ("reactive-50us", Baseline::Reactive { timeout: SimDuration::from_us(50) }),
+                (
+                    "reactive-0us",
+                    Baseline::Reactive {
+                        timeout: SimDuration::ZERO,
+                    },
+                ),
+                (
+                    "reactive-50us",
+                    Baseline::Reactive {
+                        timeout: SimDuration::from_us(50),
+                    },
+                ),
                 ("history-8", Baseline::History { window: 8 }),
             ];
             let mut policies: Vec<(String, TraceAnnotations)> =
                 vec![("ppa".into(), ctx.annotate(&cfg))];
             policies.extend(baselines.iter().map(|(label, b)| {
-                (label.to_string(), b.annotate_trace(trace, &cfg, ctx.rank_jobs))
+                (
+                    label.to_string(),
+                    b.annotate_trace(trace, &cfg, ctx.rank_jobs),
+                )
             }));
             policies
                 .into_iter()
@@ -330,8 +343,8 @@ pub fn robustness_study(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<Rob
             let cfg = RunConfig::new(20.0, 0.01).power_config();
             let ann = ctx.annotate(&cfg);
             let agg = ann.aggregate_stats();
-            let managed = replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default())
-                .expect("replay");
+            let managed =
+                replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default()).expect("replay");
             RobustnessPoint {
                 jitter_multiplier: JITTER_MULTIPLIERS[(key.variant - VARIANT_JITTER) as usize],
                 hit_rate_pct: agg.hit_rate_pct(),
@@ -477,21 +490,34 @@ mod tests {
     #[test]
     fn oracle_bounds_ppa_from_above() {
         // Use a small ALYA for speed.
-        let alya = ibp_workloads::Alya { iterations: 40, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 40,
+            ..Default::default()
+        };
         let trace = alya.generate(8, 1);
         let params = SimParams::paper();
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
         let (ppa_s, ppa_d) = run_policy(&trace, &baseline, &annotate_trace(&trace, &cfg), &params);
-        let (ora_s, ora_d) =
-            run_policy(&trace, &baseline, &Baseline::Oracle.annotate_trace(&trace, &cfg, 1), &params);
+        let (ora_s, ora_d) = run_policy(
+            &trace,
+            &baseline,
+            &Baseline::Oracle.annotate_trace(&trace, &cfg, 1),
+            &params,
+        );
         assert!(ora_s >= ppa_s, "oracle {ora_s} < ppa {ppa_s}");
-        assert!(ora_d <= ppa_d + 0.05, "oracle slowdown {ora_d} vs ppa {ppa_d}");
+        assert!(
+            ora_d <= ppa_d + 0.05,
+            "oracle slowdown {ora_d} vs ppa {ppa_d}"
+        );
     }
 
     #[test]
     fn reactive_trades_stalls_for_savings() {
-        let alya = ibp_workloads::Alya { iterations: 40, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 40,
+            ..Default::default()
+        };
         let trace = alya.generate(8, 2);
         let params = SimParams::paper();
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
@@ -500,7 +526,10 @@ mod tests {
         let (rea_s, rea_d) = run_policy(
             &trace,
             &baseline,
-            &Baseline::Reactive { timeout: SimDuration::ZERO }.annotate_trace(&trace, &cfg, 1),
+            &Baseline::Reactive {
+                timeout: SimDuration::ZERO,
+            }
+            .annotate_trace(&trace, &cfg, 1),
             &params,
         );
         // Reactive exploits every gap (even unpredictable ones) → more
@@ -513,14 +542,27 @@ mod tests {
     fn deep_sleep_increases_savings_on_long_gap_apps() {
         // WRF at 8 ranks has ~18 ms physics gaps: deep sleep (threshold
         // 5 ms) should beat WRPS-only on savings.
-        let wrf = ibp_workloads::Wrf { iterations: 30, ..Default::default() };
+        let wrf = ibp_workloads::Wrf {
+            iterations: 30,
+            ..Default::default()
+        };
         let trace = ibp_workloads::Workload::generate(&wrf, 8, 3);
         let params = SimParams::paper();
         let base_cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let deep_cfg = base_cfg.clone().with_deep_sleep(SimDuration::from_ms(5));
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
-        let (ws, _) = run_policy(&trace, &baseline, &annotate_trace(&trace, &base_cfg), &params);
-        let (ds, _) = run_policy(&trace, &baseline, &annotate_trace(&trace, &deep_cfg), &params);
+        let (ws, _) = run_policy(
+            &trace,
+            &baseline,
+            &annotate_trace(&trace, &base_cfg),
+            &params,
+        );
+        let (ds, _) = run_policy(
+            &trace,
+            &baseline,
+            &annotate_trace(&trace, &deep_cfg),
+            &params,
+        );
         assert!(
             ds > ws + 5.0,
             "deep sleep should add savings on WRF: {ds} vs {ws}"
@@ -564,7 +606,10 @@ mod tests {
     fn robustness_degrades_gracefully() {
         let engine = SweepEngine::new(SweepOptions::default());
         let rows = robustness_study(&engine, 8, 5);
-        assert_eq!(engine.stats().traces_generated as usize, JITTER_MULTIPLIERS.len());
+        assert_eq!(
+            engine.stats().traces_generated as usize,
+            JITTER_MULTIPLIERS.len()
+        );
         let first = &rows[0];
         let last = rows.last().unwrap();
         // Extreme jitter must cost late wake-ups and savings…

@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 /// and covers the paper's Fig. 10 range (up to 400 µs), including every
 /// value Table III reports.
 pub const GT_GRID_US: &[f64] = &[
-    20.0, 22.0, 26.0, 30.0, 36.0, 46.0, 50.0, 56.0, 72.0, 100.0, 136.0, 150.0, 186.0, 222.0,
-    260.0, 290.0, 300.0, 340.0, 382.0, 400.0,
+    20.0, 22.0, 26.0, 30.0, 36.0, 46.0, 50.0, 56.0, 72.0, 100.0, 136.0, 150.0, 186.0, 222.0, 260.0,
+    290.0, 300.0, 340.0, 382.0, 400.0,
 ];
 
 /// One sweep point (one GT value on one trace).

@@ -35,12 +35,11 @@ pub mod report;
 pub mod svg;
 pub mod sweep;
 
+pub use exhibits::{fig10, figure, table1, table3, table4, ExhibitGrid};
 pub use experiment::{
     make_trace, make_trace_scaled, run, run_on_trace, run_runtime_only, run_runtime_only_jobs,
-    run_with_baseline, run_with_baseline_jobs,
-    RunConfig, RunResult,
+    run_with_baseline, run_with_baseline_jobs, RunConfig, RunResult,
 };
-pub use exhibits::{fig10, figure, table1, table3, table4, ExhibitGrid};
 pub use generation::{
     generation_frontier, render_generation_frontier, GenerationFrontierRow, FRONTIER_GENERATIONS,
 };

@@ -75,7 +75,11 @@ fn bench_table4(c: &mut Criterion) {
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("exhibits");
     g.sample_size(10);
-    for (name, disp) in [("fig7_disp10", 0.10), ("fig8_disp5", 0.05), ("fig9_disp1", 0.01)] {
+    for (name, disp) in [
+        ("fig7_disp10", 0.10),
+        ("fig8_disp5", 0.05),
+        ("fig9_disp1", 0.01),
+    ] {
         g.bench_function(format!("{name}_savings_and_slowdown"), |b| {
             b.iter(|| {
                 AppKind::ALL

@@ -95,7 +95,9 @@ fn bench_serve_roundtrip(c: &mut Criterion) {
         open_rate: 0,
     };
     let mut g = c.benchmark_group("hotpath");
-    g.throughput(Throughput::Elements(events.len() as u64 * u64::from(sessions)));
+    g.throughput(Throughput::Elements(
+        events.len() as u64 * u64::from(sessions),
+    ));
     g.bench_function("serve_roundtrip", |b| {
         b.iter(|| run_load(&bound, specs.clone(), &load).expect("bench load"))
     });

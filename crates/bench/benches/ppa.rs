@@ -4,7 +4,7 @@
 //! report what the Rust implementation actually costs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use ibp_core::{GramBuilder, GramInterner, Ppa, PowerConfig, RankRuntime};
+use ibp_core::{GramBuilder, GramInterner, PowerConfig, Ppa, RankRuntime};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall::{Allreduce, Sendrecv};
 

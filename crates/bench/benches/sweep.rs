@@ -19,17 +19,25 @@ fn grid() -> Vec<CellKey> {
     AppKind::ALL
         .iter()
         .flat_map(|&app| {
-            let procs: [u32; 2] = if app == AppKind::NasBt { [9, 16] } else { [8, 16] };
+            let procs: [u32; 2] = if app == AppKind::NasBt {
+                [9, 16]
+            } else {
+                [8, 16]
+            };
             procs.into_iter().map(move |n| CellKey::new(app, n, SEED))
         })
         .collect()
 }
 
 fn run_grid(engine: &SweepEngine, cells: &[CellKey]) -> Vec<f64> {
-    engine.run_cells(cells, |&k| k, |ctx, key, _| {
-        let cfg = RunConfig::new(20.0, 0.01);
-        run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline()).power_saving_pct
-    })
+    engine.run_cells(
+        cells,
+        |&k| k,
+        |ctx, key, _| {
+            let cfg = RunConfig::new(20.0, 0.01);
+            run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline()).power_saving_pct
+        },
+    )
 }
 
 fn bench_serial_vs_parallel(c: &mut Criterion) {
@@ -56,7 +64,9 @@ fn bench_memoization(c: &mut Criterion) {
     // sweeps of an `all`-style batch).
     let warm = SweepEngine::new(SweepOptions::serial());
     run_grid(&warm, &cells);
-    g.bench_function("grid_serial_warm_cache", |b| b.iter(|| run_grid(&warm, &cells)));
+    g.bench_function("grid_serial_warm_cache", |b| {
+        b.iter(|| run_grid(&warm, &cells))
+    });
     g.finish();
 }
 

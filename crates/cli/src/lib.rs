@@ -568,10 +568,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "stat" => {
             let session = match flag_val("--session") {
-                Some(s) => Some(s.parse::<u32>().map_err(|_| format!("bad --session: {s}"))?),
+                Some(s) => Some(
+                    s.parse::<u32>()
+                        .map_err(|_| format!("bad --session: {s}"))?,
+                ),
                 None => None,
             };
-            Ok(Command::Stat { endpoint: parse_endpoint()?, session })
+            Ok(Command::Stat {
+                endpoint: parse_endpoint()?,
+                session,
+            })
         }
         "top" => {
             let interval_ms = match flag_val("--interval-ms") {
@@ -609,7 +615,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 None => None,
             };
             let chaos_seed = match flag_val("--chaos-seed") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --chaos-seed: {s}"))?,
+                Some(s) => s
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad --chaos-seed: {s}"))?,
                 None => 0xC4A0_5EED,
             };
             let retries = match flag_val("--retries") {
@@ -621,18 +629,24 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 None => 8,
             };
             let deadline_ms = match flag_val("--deadline-ms") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --deadline-ms: {s}"))?,
+                Some(s) => s
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad --deadline-ms: {s}"))?,
                 None => 10_000,
             };
             // Scale-mode knobs: 0 is meaningful (mode off / unlimited),
             // so these accept any u64 rather than going through
             // parse_count.
             let drivers = match flag_val("--drivers") {
-                Some(s) => s.parse::<usize>().map_err(|_| format!("bad --drivers: {s}"))?,
+                Some(s) => s
+                    .parse::<usize>()
+                    .map_err(|_| format!("bad --drivers: {s}"))?,
                 None => 0,
             };
             let open_rate = match flag_val("--open-rate") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --open-rate: {s}"))?,
+                Some(s) => s
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad --open-rate: {s}"))?,
                 None => 0,
             };
             let events_per_session = match flag_val("--events-per-session") {
@@ -891,7 +905,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_app() {
-        assert!(parse(&argv("generate lammps 8")).unwrap_err().contains("unknown app"));
+        assert!(parse(&argv("generate lammps 8"))
+            .unwrap_err()
+            .contains("unknown app"));
     }
 
     #[test]
@@ -996,8 +1012,16 @@ mod tests {
 
     #[test]
     fn resilient_config_wiring() {
-        assert!(!power_config_resilient(20.0, 0.01, false, None).resilience.enabled);
-        assert!(power_config_resilient(20.0, 0.01, true, None).resilience.enabled);
+        assert!(
+            !power_config_resilient(20.0, 0.01, false, None)
+                .resilience
+                .enabled
+        );
+        assert!(
+            power_config_resilient(20.0, 0.01, true, None)
+                .resilience
+                .enabled
+        );
         let c = power_config_resilient(20.0, 0.01, false, Some(3.0));
         assert!(c.resilience.enabled, "--budget implies --resilient");
         assert_eq!(c.resilience.slowdown_budget_pct, 3.0);
@@ -1069,8 +1093,10 @@ mod tests {
                 label: None,
             }
         );
-        let c = parse(&argv("bench-report -o t.json --check --iters 500 --reps 3 --label pr"))
-            .unwrap();
+        let c = parse(&argv(
+            "bench-report -o t.json --check --iters 500 --reps 3 --label pr",
+        ))
+        .unwrap();
         assert_eq!(
             c,
             Command::BenchReport {
@@ -1141,7 +1167,12 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Serve { io_threads, max_hot_sessions, store, .. } => {
+            Command::Serve {
+                io_threads,
+                max_hot_sessions,
+                store,
+                ..
+            } => {
                 assert_eq!(io_threads, 4);
                 assert_eq!(max_hot_sessions, Some(1_000));
                 assert_eq!(store.as_deref(), Some("/var/ibp"));
@@ -1205,7 +1236,9 @@ mod tests {
                 once: true,
             }
         );
-        assert!(parse(&argv("stat")).unwrap_err().contains("missing endpoint"));
+        assert!(parse(&argv("stat"))
+            .unwrap_err()
+            .contains("missing endpoint"));
         assert!(parse(&argv("stat --uds a.sock --session x"))
             .unwrap_err()
             .contains("bad --session"));
@@ -1331,7 +1364,14 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Load { sessions, drivers, open_rate, events_per_session, scale_curve, .. } => {
+            Command::Load {
+                sessions,
+                drivers,
+                open_rate,
+                events_per_session,
+                scale_curve,
+                ..
+            } => {
                 assert_eq!(sessions, 10_000);
                 assert_eq!(drivers, 16);
                 assert_eq!(open_rate, 2_000);
@@ -1355,7 +1395,13 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Load { chaos, chaos_seed, retries, deadline_ms, .. } => {
+            Command::Load {
+                chaos,
+                chaos_seed,
+                retries,
+                deadline_ms,
+                ..
+            } => {
                 assert_eq!(chaos, Some(0.3));
                 assert_eq!(chaos_seed, 7);
                 assert_eq!(retries, 3);
@@ -1380,7 +1426,9 @@ mod tests {
     fn load_rejects_bad_input() {
         // Endpoint flags must not swallow positionals: app/nprocs parse.
         assert!(parse(&argv("load --uds a.sock alya 8")).is_ok());
-        assert!(parse(&argv("load alya 8")).unwrap_err().contains("missing endpoint"));
+        assert!(parse(&argv("load alya 8"))
+            .unwrap_err()
+            .contains("missing endpoint"));
         assert!(parse(&argv("load lammps 8 --uds a.sock"))
             .unwrap_err()
             .contains("unknown app"));

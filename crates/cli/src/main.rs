@@ -87,7 +87,10 @@ fn render_report(ep: &ibp_serve::Endpoint, report: &ibp_serve::ObsReport) -> Str
         );
     }
     if let Some(f) = s.chaos_intensity {
-        let _ = writeln!(out, "chaos    : {f:.3} faults/io-call injected on every connection");
+        let _ = writeln!(
+            out,
+            "chaos    : {f:.3} faults/io-call injected on every connection"
+        );
     }
     if report.sessions.is_empty() {
         let _ = writeln!(out, "\n(no live sessions)");
@@ -198,7 +201,12 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Inspect { trace } => {
             let t = load_trace(&trace)?;
-            println!("trace   : {} ({} ranks, {} calls)", t.name, t.nprocs, t.total_calls());
+            println!(
+                "trace   : {} ({} ranks, {} calls)",
+                t.name,
+                t.nprocs,
+                t.total_calls()
+            );
 
             let idle = IdleDistribution::from_trace(&t);
             println!(
@@ -287,8 +295,7 @@ fn run(cmd: Command) -> Result<(), String> {
             let t = load_trace(&trace)?;
             let annotations = match &ann {
                 Some(path) => {
-                    let json =
-                        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                    let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                     let ranks: Vec<ibp_core::RankAnnotation> =
                         serde_json::from_str(&json).map_err(|e| format!("{path}: {e}"))?;
                     Some(ibp_core::TraceAnnotations { ranks })
@@ -303,7 +310,10 @@ fn run(cmd: Command) -> Result<(), String> {
             let result = replay(&t, annotations.as_ref(), &SimParams::paper(), &opts)
                 .map_err(|e| format!("replay: {e}"))?;
             println!("execution time : {}", result.exec_time);
-            println!("messages       : {} ({} bytes)", result.fabric.messages, result.fabric.bytes);
+            println!(
+                "messages       : {} ({} bytes)",
+                result.fabric.messages, result.fabric.bytes
+            );
             println!("contended      : {}", result.fabric.contended);
             if annotations.is_some() {
                 println!("power saving   : {:.1}%", result.power_saving_pct());
@@ -467,7 +477,10 @@ fn run(cmd: Command) -> Result<(), String> {
             };
             println!("bench-report: {} ({iters} iters, {reps} reps)", entry.label);
             for p in &entry.probes {
-                println!("  {:<28} {:>10.1} ns/elem  ({} elems)", p.name, p.ns_per_elem, p.elems);
+                println!(
+                    "  {:<28} {:>10.1} ns/elem  ({} elems)",
+                    p.name, p.ns_per_elem, p.elems
+                );
             }
             if check {
                 let prev = traj
@@ -578,7 +591,11 @@ fn run(cmd: Command) -> Result<(), String> {
                 eprintln!(
                     "store      : {dir} ({} sessions recovered{}{})",
                     recovery.loaded,
-                    if recovery.manifest_ok { "" } else { ", manifest healed" },
+                    if recovery.manifest_ok {
+                        ""
+                    } else {
+                        ", manifest healed"
+                    },
                     if recovery.skipped.is_empty() {
                         String::new()
                     } else {
@@ -613,10 +630,16 @@ fn run(cmd: Command) -> Result<(), String> {
             println!("events     : {} applied", summary.events_applied);
             println!("directives : {} streamed", summary.directives_sent);
             if summary.sessions_rehydrated > 0 {
-                println!("rehydrated : {} sessions from the store", summary.sessions_rehydrated);
+                println!(
+                    "rehydrated : {} sessions from the store",
+                    summary.sessions_rehydrated
+                );
             }
             if summary.evictions > 0 {
-                println!("evicted    : {} hot engines paged to the store", summary.evictions);
+                println!(
+                    "evicted    : {} hot engines paged to the store",
+                    summary.evictions
+                );
             }
             if summary.snapshots_persisted > 0 || summary.persist_failures > 0 {
                 println!(
@@ -630,7 +653,10 @@ fn run(cmd: Command) -> Result<(), String> {
                 );
             }
             if summary.responses_shed > 0 {
-                println!("shed       : {} responses to overloaded connections", summary.responses_shed);
+                println!(
+                    "shed       : {} responses to overloaded connections",
+                    summary.responses_shed
+                );
             }
             if summary.worker_panics > 0 || summary.worker_respawns > 0 {
                 println!(
@@ -726,7 +752,11 @@ fn run(cmd: Command) -> Result<(), String> {
                 report.sessions,
                 split.map(|f| format!(", split {f}")).unwrap_or_default(),
                 chaos.map(|f| format!(", chaos {f}")).unwrap_or_default(),
-                if drivers > 0 { format!(", {drivers} drivers") } else { String::new() }
+                if drivers > 0 {
+                    format!(", {drivers} drivers")
+                } else {
+                    String::new()
+                }
             );
             println!(
                 "events     : {} in {:.2} s  ({:.0} events/s)",
@@ -752,7 +782,11 @@ fn run(cmd: Command) -> Result<(), String> {
             if report.parity_checked {
                 println!(
                     "parity     : {}",
-                    if report.parity_ok { "ok (matches offline annotate)" } else { "MISMATCH" }
+                    if report.parity_ok {
+                        "ok (matches offline annotate)"
+                    } else {
+                        "MISMATCH"
+                    }
                 );
             }
             if let Some(path) = scale_curve {
@@ -774,7 +808,10 @@ fn run(cmd: Command) -> Result<(), String> {
                     ("sessions".into(), Value::U64(report.sessions as u64)),
                     ("drivers".into(), Value::U64(drivers as u64)),
                     ("open_rate".into(), Value::U64(open_rate)),
-                    ("events_per_session".into(), Value::U64(events_per_session as u64)),
+                    (
+                        "events_per_session".into(),
+                        Value::U64(events_per_session as u64),
+                    ),
                     ("events_total".into(), Value::U64(report.events_total)),
                     ("events_per_sec".into(), Value::F64(report.events_per_sec)),
                     ("latency_p50_us".into(), Value::F64(report.latency_p50_us)),
@@ -798,8 +835,7 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             if let Some(path) = output {
                 let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(&path, json + "\n")
-                    .map_err(|e| format!("writing {path}: {e}"))?;
+                std::fs::write(&path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
                 println!("report written to {path}");
             }
             if report.parity_checked && !report.parity_ok {

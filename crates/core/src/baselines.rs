@@ -297,8 +297,12 @@ mod tests {
     fn every_policy_reports_the_same_nominal_duration() {
         let t = rungs_trace();
         let r = &t.ranks[0];
-        let expect: SimDuration =
-            r.events.iter().map(|e| e.compute_before).sum::<SimDuration>() + r.final_compute;
+        let expect: SimDuration = r
+            .events
+            .iter()
+            .map(|e| e.compute_before)
+            .sum::<SimDuration>()
+            + r.final_compute;
         assert_eq!(expect, us(100_140));
         let cfg = PowerConfig::default();
         let ppa = crate::runtime::annotate_rank(r, &cfg);
@@ -308,7 +312,11 @@ mod tests {
             Baseline::Reactive { timeout: us(50) },
             Baseline::History { window: 4 },
         ] {
-            assert_eq!(b.annotate_rank(r, &cfg).stats.nominal_duration, expect, "{b:?}");
+            assert_eq!(
+                b.annotate_rank(r, &cfg).stats.nominal_duration,
+                expect,
+                "{b:?}"
+            );
         }
     }
 
@@ -341,11 +349,23 @@ mod tests {
         let reactive = Baseline::Reactive { timeout: us(50) };
         let history = Baseline::History { window: 1 };
         let cases = [
-            (&deep, Baseline::Oracle, oracle(stats(0, 24, 19_680, 0, 64_000, 0))),
+            (
+                &deep,
+                Baseline::Oracle,
+                oracle(stats(0, 24, 19_680, 0, 64_000, 0)),
+            ),
             (&deep, reactive, stats(24, 24, 19_040, 0, 71_600, 8_160)),
             (&deep, history, stats(3, 23, 17_680, 0, 28_000, 3_000)),
-            (&ladder, Baseline::Oracle, oracle(stats(0, 24, 0, 16_800, 64_000, 0))),
-            (&ladder, reactive, stats(24, 24, 3_520, 14_800, 71_600, 8_880)),
+            (
+                &ladder,
+                Baseline::Oracle,
+                oracle(stats(0, 24, 0, 16_800, 64_000, 0)),
+            ),
+            (
+                &ladder,
+                reactive,
+                stats(24, 24, 3_520, 14_800, 71_600, 8_880),
+            ),
             (&ladder, history, stats(3, 23, 0, 14_800, 28_000, 3_000)),
         ];
         for (cfg, b, expect) in cases {
@@ -358,7 +378,10 @@ mod tests {
                 let idle = d.predicted_idle - d.delay;
                 let (kind, _) = cfg.plan_sleep_with(displacement, idle).unwrap();
                 assert_eq!(d.kind, kind, "{b:?}: depth for {idle}");
-                assert!(ann.penalty[d.after_event + 1] <= cfg.react_of(d.kind), "{b:?}");
+                assert!(
+                    ann.penalty[d.after_event + 1] <= cfg.react_of(d.kind),
+                    "{b:?}"
+                );
             }
             for kind in [SleepKind::Rate, SleepKind::Deep] {
                 let used = ann.directives.iter().any(|d| d.kind == kind);

@@ -359,8 +359,7 @@ impl PowerConfig {
                     if predicted_idle < self.threshold_of(kind) {
                         continue;
                     }
-                    if let Some(timer) = self.depth_timer_with(displacement, predicted_idle, kind)
-                    {
+                    if let Some(timer) = self.depth_timer_with(displacement, predicted_idle, kind) {
                         return Some((kind, timer));
                     }
                 }
@@ -447,7 +446,10 @@ impl PowerConfig {
                 return Err(format!("guard_decay {} outside [0, 1]", r.guard_decay));
             }
             if !r.guard_step.is_finite() || r.guard_step < 0.0 {
-                return Err(format!("guard_step {} must be finite and >= 0", r.guard_step));
+                return Err(format!(
+                    "guard_step {} must be finite and >= 0",
+                    r.guard_step
+                ));
             }
             if !r.slowdown_budget_pct.is_finite() || r.slowdown_budget_pct < 0.0 {
                 return Err(format!(
@@ -623,7 +625,10 @@ mod tests {
             panic!("config serializes as an object");
         };
         entries.retain(|(k, _)| {
-            !matches!(k.as_str(), "rate_threshold" | "rate_t_react" | "rate_power_fraction")
+            !matches!(
+                k.as_str(),
+                "rate_threshold" | "rate_t_react" | "rate_power_fraction"
+            )
         });
         let back = PowerConfig::from_value(&v).unwrap();
         assert_eq!(back, PowerConfig::default());

@@ -143,8 +143,7 @@ impl ResilienceState {
         if !cfg.enabled {
             return false;
         }
-        if push_window(&mut self.recent_pattern, cfg.storm_window, call_idx)
-            >= cfg.storm_threshold
+        if push_window(&mut self.recent_pattern, cfg.storm_window, call_idx) >= cfg.storm_threshold
         {
             self.recent_pattern.clear();
             self.arm_holdoff(cfg);
@@ -300,9 +299,12 @@ impl RankRuntime {
     pub fn pattern_phase(&self) -> Option<(usize, usize, usize)> {
         match &self.mode {
             Mode::Learning => None,
-            Mode::Predicting { shapes, slot, progress, .. } => {
-                Some((*slot, *progress, shapes.len()))
-            }
+            Mode::Predicting {
+                shapes,
+                slot,
+                progress,
+                ..
+            } => Some((*slot, *progress, shapes.len())),
         }
     }
 
@@ -320,8 +322,17 @@ impl RankRuntime {
     pub fn predicted_horizon(&self) -> Option<SimDuration> {
         match &self.mode {
             Mode::Learning => None,
-            Mode::Predicting { pattern, shapes, slot, progress } => {
-                let next = if *progress == 0 { *slot } else { (*slot + 1) % shapes.len() };
+            Mode::Predicting {
+                pattern,
+                shapes,
+                slot,
+                progress,
+            } => {
+                let next = if *progress == 0 {
+                    *slot
+                } else {
+                    (*slot + 1) % shapes.len()
+                };
                 Some(self.slot_mean(*pattern, next))
             }
         }
@@ -609,7 +620,10 @@ impl RankRuntime {
                 }
                 Mode::Predicting {
                     pattern: *pattern,
-                    shapes: shapes.iter().map(|s| s.clone().into_boxed_slice()).collect(),
+                    shapes: shapes
+                        .iter()
+                        .map(|s| s.clone().into_boxed_slice())
+                        .collect(),
                     slot: *slot,
                     progress: *progress,
                 }
@@ -867,7 +881,10 @@ mod tests {
         };
         let short = run(6);
         let long = run(60);
-        assert!(long > short, "hit rate should amortise learning: {short} vs {long}");
+        assert!(
+            long > short,
+            "hit rate should amortise learning: {short} vs {long}"
+        );
         assert!(long > 85.0, "steady-state Alya hit rate ~93%: got {long}");
     }
 
@@ -933,11 +950,35 @@ mod tests {
         for it in 0..10 {
             let lead = if it == 0 { us(0) } else { us(300) };
             b.compute(0, lead);
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(2));
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(3));
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(300));
             b.op(0, MpiOp::Allreduce { bytes: 8 });
             b.compute(0, us(300));
@@ -994,11 +1035,7 @@ mod tests {
         feed_storm(&mut rt, 30);
         let holding = rt.holdoff_remaining() > 0;
         let ann = rt.finish(SimDuration::ZERO);
-        assert!(
-            ann.stats.storms >= 1,
-            "storm not detected: {:?}",
-            ann.stats
-        );
+        assert!(ann.stats.storms >= 1, "storm not detected: {:?}", ann.stats);
         assert!(ann.stats.holdoff_calls > 0 || holding);
         // The unguarded runtime keeps mispredicting; the hold-off must
         // cut the misprediction count.
@@ -1167,7 +1204,10 @@ mod tests {
         bad.ppa.detected.push((9_999, 7));
         assert!(matches!(
             RankRuntime::from_snapshot(&bad),
-            Err(SnapshotError::DanglingId { what: "pattern", .. })
+            Err(SnapshotError::DanglingId {
+                what: "pattern",
+                ..
+            })
         ));
 
         let mut bad = good.clone();

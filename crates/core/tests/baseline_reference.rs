@@ -56,7 +56,11 @@ fn oracle_reference(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
     }
 }
 
-fn reactive_reference(trace: &RankTrace, cfg: &PowerConfig, timeout: SimDuration) -> RankAnnotation {
+fn reactive_reference(
+    trace: &RankTrace,
+    cfg: &PowerConfig,
+    timeout: SimDuration,
+) -> RankAnnotation {
     let n = trace.call_count();
     let mut directives = Vec::new();
     let mut penalty = vec![SimDuration::ZERO; n];

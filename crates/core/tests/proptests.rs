@@ -288,7 +288,10 @@ fn bounded_occurrence_window_never_changes_declarations() {
         let trace = w.generate(nprocs, 42);
 
         let bounded = PowerConfig::paper(SimDuration::from_us(20), 0.01);
-        assert_eq!(bounded.occurrence_window, ibp_core::DEFAULT_OCCURRENCE_WINDOW);
+        assert_eq!(
+            bounded.occurrence_window,
+            ibp_core::DEFAULT_OCCURRENCE_WINDOW
+        );
         let mut unbounded = bounded.clone();
         unbounded.occurrence_window = usize::MAX;
 

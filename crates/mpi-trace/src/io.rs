@@ -44,7 +44,10 @@ impl std::fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace I/O error: {e}"),
             TraceError::Format(e) => write!(f, "trace format error: {e}"),
             TraceError::Truncated { bytes } => {
-                write!(f, "trace truncated: document still open after {bytes} bytes")
+                write!(
+                    f,
+                    "trace truncated: document still open after {bytes} bytes"
+                )
             }
             TraceError::Empty => write!(f, "empty trace: no ranks or events to replay"),
             TraceError::Invalid(msg) => write!(f, "invalid trace: {msg}"),

@@ -25,8 +25,8 @@ pub mod trace;
 pub mod viz;
 
 pub use combine::{can_combine, combine, JobPlacement};
-pub use io::TraceError;
 pub use event::{MpiCall, MpiOp, Rank, ReqId};
+pub use io::TraceError;
 pub use profile::{ActivityProfile, CallProfile, CommMatrix};
 pub use stats::{IdleBucket, IdleDistribution};
 pub use trace::{nominal_call_times, RankTrace, Trace, TraceBuilder, TraceEvent};

@@ -124,14 +124,10 @@ impl Trace {
                     MpiOp::Sendrecv { to, from, .. } if !in_range(*to) || !in_range(*from) => {
                         return err(format!("peer {to}/{from} out of range"));
                     }
-                    MpiOp::Bcast { root, .. } | MpiOp::Reduce { root, .. }
-                        if !in_range(*root) =>
-                    {
+                    MpiOp::Bcast { root, .. } | MpiOp::Reduce { root, .. } if !in_range(*root) => {
                         return err(format!("root {root} out of range"));
                     }
-                    MpiOp::Isend { req, .. } | MpiOp::Irecv { req, .. }
-                        if !posted.insert(*req) =>
-                    {
+                    MpiOp::Isend { req, .. } | MpiOp::Irecv { req, .. } if !posted.insert(*req) => {
                         return err(format!("request {req} posted twice"));
                     }
                     MpiOp::Wait { req } if !posted.remove(req) => {
@@ -265,7 +261,13 @@ mod tests {
         b.compute(0, SimDuration::from_us(10));
         b.op(0, MpiOp::Allreduce { bytes: 8 });
         b.compute(1, SimDuration::from_us(30));
-        b.op(1, MpiOp::Recv { from: 0, bytes: 2048 });
+        b.op(
+            1,
+            MpiOp::Recv {
+                from: 0,
+                bytes: 2048,
+            },
+        );
         b.op(1, MpiOp::Allreduce { bytes: 8 });
         b.compute(1, SimDuration::from_us(5));
         b.build()
@@ -275,7 +277,10 @@ mod tests {
     fn builder_assembles_records() {
         let t = two_rank_trace();
         assert_eq!(t.total_calls(), 4);
-        assert_eq!(t.ranks[0].events[0].compute_before, SimDuration::from_us(50));
+        assert_eq!(
+            t.ranks[0].events[0].compute_before,
+            SimDuration::from_us(50)
+        );
         assert_eq!(t.ranks[1].events[1].compute_before, SimDuration::ZERO);
         assert_eq!(t.ranks[1].final_compute, SimDuration::from_us(5));
         assert!(t.validate().is_ok());
@@ -315,7 +320,11 @@ mod tests {
     fn validate_rejects_unclaimed_request() {
         let mut b = TraceBuilder::new("bad", 2);
         b.isend(0, 1, 100);
-        assert!(b.build().validate().unwrap_err().contains("never completed"));
+        assert!(b
+            .build()
+            .validate()
+            .unwrap_err()
+            .contains("never completed"));
     }
 
     #[test]
@@ -324,7 +333,13 @@ mod tests {
         let r1 = b.isend(0, 1, 100);
         let r2 = b.irecv(0, 1, 100);
         b.op(0, MpiOp::Waitall { reqs: vec![r1, r2] });
-        b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
+        b.op(
+            1,
+            MpiOp::Recv {
+                from: 0,
+                bytes: 100,
+            },
+        );
         b.op(1, MpiOp::Send { to: 0, bytes: 100 });
         assert!(b.build().validate().is_ok());
     }

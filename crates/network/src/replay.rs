@@ -1147,7 +1147,13 @@ mod tests {
             let r2 = b.isend(r, peer, bytes);
             b.op(r, MpiOp::Waitall { reqs: vec![r1, r2] });
         }
-        let nb = replay(&b.build(), None, &SimParams::paper(), &ReplayOptions::default()).expect("replay");
+        let nb = replay(
+            &b.build(),
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+        )
+        .expect("replay");
 
         // One serialization (~210 µs) suffices: the two transfers overlap.
         let one_serial = SimParams::paper().serialize(bytes).as_us_f64();
@@ -1164,7 +1170,13 @@ mod tests {
         b.op(0, MpiOp::Recv { from: 1, bytes });
         b.op(1, MpiOp::Recv { from: 0, bytes });
         b.op(1, MpiOp::Send { to: 0, bytes });
-        let blk = replay(&b.build(), None, &SimParams::paper(), &ReplayOptions::default()).expect("replay");
+        let blk = replay(
+            &b.build(),
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+        )
+        .expect("replay");
 
         assert!(
             blk.exec_time.as_us_f64() > 1.8 * one_serial,
@@ -1188,11 +1200,7 @@ mod tests {
         let t = b.build();
         let r = replay(&t, None, &SimParams::paper(), &ReplayOptions::default()).expect("replay");
         // 7 MB must serialise through rank 0's host downlink: ≥ 7 × 210 µs.
-        assert!(
-            r.exec_time >= us(1400),
-            "incast too fast: {}",
-            r.exec_time
-        );
+        assert!(r.exec_time >= us(1400), "incast too fast: {}", r.exec_time);
         assert!(r.fabric.contended > 0);
     }
 
@@ -1221,8 +1229,8 @@ mod tests {
         let mut scratch = ReplayScratch::new();
         for t in &traces {
             let recycled = replay_with_scratch(t, None, &p, &o, &mut scratch).expect("replay");
-            let fresh = replay_with_scratch(t, None, &p, &o, &mut ReplayScratch::new())
-                .expect("replay");
+            let fresh =
+                replay_with_scratch(t, None, &p, &o, &mut ReplayScratch::new()).expect("replay");
             assert_eq!(recycled.exec_time, fresh.exec_time);
             assert_eq!(recycled.rank_finish, fresh.rank_finish);
             assert_eq!(recycled.fabric.messages, fresh.fabric.messages);
@@ -1257,8 +1265,14 @@ mod tests {
         }
         let t = b.build();
         let mut scratch = ReplayScratch::new();
-        replay_with_scratch(&t, None, &SimParams::paper(), &ReplayOptions::default(), &mut scratch)
-            .expect("replay");
+        replay_with_scratch(
+            &t,
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+            &mut scratch,
+        )
+        .expect("replay");
         for p in 0..25 {
             let cap = scratch.base[p + 1] - scratch.base[p];
             assert_eq!(scratch.len[p] as usize, cap, "pair {p}");
@@ -1393,8 +1407,13 @@ mod tests {
         let mut b = TraceBuilder::new("three", 3);
         b.compute(0, us(10));
         let three = b.build();
-        let err = replay(&three, Some(&ann), &SimParams::paper(), &ReplayOptions::default())
-            .expect_err("rank mismatch");
+        let err = replay(
+            &three,
+            Some(&ann),
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+        )
+        .expect_err("rank mismatch");
         assert_eq!(
             err,
             ReplayError::AnnotationRankMismatch {
@@ -1410,8 +1429,13 @@ mod tests {
         let cfg = PowerConfig::paper(us(20), 0.10);
         let mut ann = annotate_trace(&t, &cfg);
         ann.ranks[1].overhead.pop();
-        let err = replay(&t, Some(&ann), &SimParams::paper(), &ReplayOptions::default())
-            .expect_err("length mismatch");
+        let err = replay(
+            &t,
+            Some(&ann),
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+        )
+        .expect_err("length mismatch");
         match err {
             ReplayError::AnnotationLengthMismatch { rank, .. } => assert_eq!(rank, 1),
             other => panic!("wrong error: {other}"),

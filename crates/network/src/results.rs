@@ -116,10 +116,7 @@ mod tests {
     fn result(exec_us: u64, low_us: &[u64]) -> SimResult {
         SimResult {
             exec_time: SimDuration::from_us(exec_us),
-            rank_finish: low_us
-                .iter()
-                .map(|_| SimTime::from_us(exec_us))
-                .collect(),
+            rank_finish: low_us.iter().map(|_| SimTime::from_us(exec_us)).collect(),
             link_low: low_us.iter().map(|&l| SimDuration::from_us(l)).collect(),
             link_rate: vec![SimDuration::ZERO; low_us.len()],
             link_deep: vec![SimDuration::ZERO; low_us.len()],

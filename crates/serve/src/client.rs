@@ -140,11 +140,7 @@ impl Client {
                 ServerFrame::QueryReply { .. } => continue,
                 other => match want(other) {
                     Some(v) => return Ok(v),
-                    None => {
-                        return Err(ProtocolError::Unexpected(format!(
-                            "waiting for {what}"
-                        )))
-                    }
+                    None => return Err(ProtocolError::Unexpected(format!("waiting for {what}"))),
                 },
             }
         }
@@ -173,7 +169,10 @@ impl Client {
     /// Open a session from snapshot bytes; waits for the
     /// acknowledgement and returns the server's resume position.
     pub fn restore(&mut self, session: u32, snapshot: &[u8]) -> Result<u64, ProtocolError> {
-        self.send(&ClientFrame::Restore { session, snapshot: snapshot.to_vec() })?;
+        self.send(&ClientFrame::Restore {
+            session,
+            snapshot: snapshot.to_vec(),
+        })?;
         let applied = self.expect("OpenAck", |f| match f {
             ServerFrame::OpenAck { events_applied, .. } => Some(events_applied),
             _ => None,
@@ -193,7 +192,10 @@ impl Client {
         &mut self,
         session: u32,
     ) -> Result<(u64, Vec<LaneDirective>), ProtocolError> {
-        self.send(&ClientFrame::Restore { session, snapshot: Vec::new() })?;
+        self.send(&ClientFrame::Restore {
+            session,
+            snapshot: Vec::new(),
+        })?;
         let applied = self.expect("OpenAck", |f| match f {
             ServerFrame::OpenAck { events_applied, .. } => Some(events_applied),
             _ => None,
@@ -213,11 +215,16 @@ impl Client {
         session: u32,
         events: &[WireEvent],
     ) -> Result<(u64, Vec<LaneDirective>), ProtocolError> {
-        self.send(&ClientFrame::Events { session, events: events.to_vec() })?;
+        self.send(&ClientFrame::Events {
+            session,
+            events: events.to_vec(),
+        })?;
         self.expect("Directives", |f| match f {
-            ServerFrame::Directives { events_applied, directives, .. } => {
-                Some((events_applied, directives))
-            }
+            ServerFrame::Directives {
+                events_applied,
+                directives,
+                ..
+            } => Some((events_applied, directives)),
             _ => None,
         })
     }
@@ -264,7 +271,9 @@ impl Client {
     /// [`CONNECTION_SESSION`] id, which `Query` (alone among client
     /// frames) accepts.
     pub fn query_server(&mut self) -> Result<ObsReport, ProtocolError> {
-        self.send(&ClientFrame::Query { session: CONNECTION_SESSION })?;
+        self.send(&ClientFrame::Query {
+            session: CONNECTION_SESSION,
+        })?;
         self.expect_report()
     }
 
@@ -292,7 +301,10 @@ impl Client {
         session: u32,
         final_compute_ns: u64,
     ) -> Result<(Vec<LaneDirective>, u64, RankStats), ProtocolError> {
-        self.send(&ClientFrame::Close { session, final_compute_ns })?;
+        self.send(&ClientFrame::Close {
+            session,
+            final_compute_ns,
+        })?;
         let mut last = Vec::new();
         loop {
             match self.recv()? {
@@ -302,7 +314,11 @@ impl Client {
                 ServerFrame::Stats { .. } => continue,
                 ServerFrame::QueryReply { .. } => continue,
                 ServerFrame::Directives { directives, .. } => last.extend(directives),
-                ServerFrame::Closed { directives_total, stats, .. } => {
+                ServerFrame::Closed {
+                    directives_total,
+                    stats,
+                    ..
+                } => {
                     self.open_sessions.retain(|&s| s != session);
                     return Ok((last, directives_total, *stats));
                 }
@@ -326,7 +342,10 @@ impl Drop for Client {
     fn drop(&mut self) {
         if self.close_on_drop {
             for session in std::mem::take(&mut self.open_sessions) {
-                let frame = ClientFrame::Close { session, final_compute_ns: 0 };
+                let frame = ClientFrame::Close {
+                    session,
+                    final_compute_ns: 0,
+                };
                 if write_frame(&mut self.writer, &frame.encode()).is_err() {
                     break;
                 }
@@ -572,16 +591,21 @@ pub fn run_load(
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
-                first_err = first_err.or_else(|| {
-                    Some(ProtocolError::Unexpected("session thread panicked".into()))
-                })
+                first_err = first_err
+                    .or_else(|| Some(ProtocolError::Unexpected("session thread panicked".into())))
             }
         }
     }
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
+    Ok(aggregate(
+        outcomes,
+        latencies_ns,
+        sessions,
+        start.elapsed().as_secs_f64(),
+        cfg.check,
+    ))
 }
 
 /// Fold per-session outcomes and batch latencies into a [`LoadReport`]
@@ -615,7 +639,11 @@ fn aggregate(
         reconnects,
         gave_up,
         elapsed_s,
-        events_per_sec: if elapsed_s > 0.0 { events_total as f64 / elapsed_s } else { 0.0 },
+        events_per_sec: if elapsed_s > 0.0 {
+            events_total as f64 / elapsed_s
+        } else {
+            0.0
+        },
         latency_p50_us: pct(0.50),
         latency_p99_us: pct(0.99),
         latency_max_us: pct(1.0),
@@ -670,16 +698,21 @@ fn run_load_scale(
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
-                first_err = first_err.or_else(|| {
-                    Some(ProtocolError::Unexpected("driver thread panicked".into()))
-                })
+                first_err = first_err
+                    .or_else(|| Some(ProtocolError::Unexpected("driver thread panicked".into())))
             }
         }
     }
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
+    Ok(aggregate(
+        outcomes,
+        latencies_ns,
+        sessions,
+        start.elapsed().as_secs_f64(),
+        cfg.check,
+    ))
 }
 
 /// Sleep until this open's ticket comes due under the global
@@ -724,7 +757,10 @@ fn drive_partition(
     start: Instant,
 ) -> Result<(Vec<SessionOutcome>, Vec<u64>), ProtocolError> {
     let batch = cfg.batch.max(1);
-    let opts = ConnectOptions { chaos: None, read_timeout_ms: cfg.retry.deadline_ms };
+    let opts = ConnectOptions {
+        chaos: None,
+        read_timeout_ms: cfg.retry.deadline_ms,
+    };
     let mut client = Client::connect_with(endpoint, &opts)?;
     for (id, spec) in &part {
         pace_open(tickets, cfg.open_rate, start);
@@ -757,8 +793,7 @@ fn drive_partition(
                 cursors[k] = (applied as usize).min(total).max(end);
             }
             if cursors[k] >= total {
-                let (tail, _total_directives, stats) =
-                    client.close(*id, spec.final_compute_ns)?;
+                let (tail, _total_directives, stats) = client.close(*id, spec.final_compute_ns)?;
                 directive_counts[k] += tail.len() as u64;
                 let parity_ok = if cfg.check {
                     let mut journal = std::mem::take(&mut journals[k]);
@@ -816,14 +851,11 @@ fn drive_session(
         let f = f.clamp(0.0, 1.0);
         ((total as f64 * f) as usize).min(total)
     });
-    let mut rng =
-        StdRng::seed_from_u64(cfg.retry.jitter_seed ^ ((session as u64) << 32) ^ 0xC8A5);
+    let mut rng = StdRng::seed_from_u64(cfg.retry.jitter_seed ^ ((session as u64) << 32) ^ 0xC8A5);
     let opts_for = |conn_seq: u64| ConnectOptions {
         chaos: cfg.chaos.as_ref().map(|c| {
             c.reseeded(
-                c.seed
-                    ^ ((session as u64) << 40)
-                    ^ conn_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                c.seed ^ ((session as u64) << 40) ^ conn_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             )
         }),
         read_timeout_ms: cfg.retry.deadline_ms,
@@ -904,13 +936,16 @@ fn drive_session(
         // the split exercise is still pending, else the full stream),
         // then close. Any transport trouble falls back to the
         // reconnect path above.
-        let target = if did_split { total } else { split_at.unwrap_or(total) };
+        let target = if did_split {
+            total
+        } else {
+            split_at.unwrap_or(total)
+        };
         let step = (|| -> Result<Option<Vec<u8>>, ProtocolError> {
             while next_event < target {
                 let end = (next_event + batch).min(target);
                 let t0 = Instant::now();
-                let (applied, fresh) =
-                    c.send_events(session, &spec.events[next_event..end])?;
+                let (applied, fresh) = c.send_events(session, &spec.events[next_event..end])?;
                 latencies_ns.push(t0.elapsed().as_nanos() as u64);
                 journal.extend(fresh);
                 next_event = (applied as usize).min(total).max(end);
@@ -981,7 +1016,11 @@ fn drive_session(
 
     let parity_ok = if gave_up {
         // An abandoned stream cannot match its golden annotation.
-        if cfg.check { Some(false) } else { None }
+        if cfg.check {
+            Some(false)
+        } else {
+            None
+        }
     } else if cfg.check {
         let (_, stats) = closed.as_ref().expect("loop exits only once closed");
         match (&spec.golden_directives, &spec.golden_stats) {

@@ -447,7 +447,12 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    fn new(cap: usize, metrics: Arc<MetricsRegistry>, home: Arc<LoopHandle>, token: u64) -> Arc<ConnTx> {
+    fn new(
+        cap: usize,
+        metrics: Arc<MetricsRegistry>,
+        home: Arc<LoopHandle>,
+        token: u64,
+    ) -> Arc<ConnTx> {
         Arc::new(ConnTx {
             q: Mutex::new(OutboundState {
                 frames: VecDeque::new(),
@@ -480,7 +485,9 @@ impl ConnTx {
                 q.frames.pop_front();
                 shed += 1;
             }
-            self.metrics.responses_shed.fetch_add(shed, Ordering::Relaxed);
+            self.metrics
+                .responses_shed
+                .fetch_add(shed, Ordering::Relaxed);
             if !q.overload_pending {
                 q.overload_pending = true;
                 let err = ServerFrame::Error {
@@ -502,9 +509,13 @@ impl ConnTx {
         drop(q);
         // Net change to the fleet-wide writer-queue occupancy gauge.
         if queued >= shed {
-            self.metrics.writer_queue_depth.fetch_add(queued - shed, Ordering::Relaxed);
+            self.metrics
+                .writer_queue_depth
+                .fetch_add(queued - shed, Ordering::Relaxed);
         } else {
-            self.metrics.writer_queue_depth.fetch_sub(shed - queued, Ordering::Relaxed);
+            self.metrics
+                .writer_queue_depth
+                .fetch_sub(shed - queued, Ordering::Relaxed);
         }
         if kick {
             self.home.request_service(self.token);
@@ -723,8 +734,12 @@ fn lru_touch(shared: &Shared, cell: &Arc<SessionCell>) {
 /// engine lock — the same order `ensure_hot` uses, so a rehydrate can
 /// never interleave with a half-finished eviction of the same session.
 fn maybe_evict(shared: &Shared) {
-    let Some(cap) = shared.cfg.max_hot_sessions else { return };
-    let Some(store) = shared.store.as_ref() else { return };
+    let Some(cap) = shared.cfg.max_hot_sessions else {
+        return;
+    };
+    let Some(store) = shared.store.as_ref() else {
+        return;
+    };
     let metrics = &shared.metrics;
     // Bounded sweep: every iteration either evicts, discards a stale
     // entry, or re-touches a busy victim; the budget stops a pathological
@@ -732,7 +747,9 @@ fn maybe_evict(shared: &Shared) {
     let mut budget = 4096usize;
     while metrics.hot_sessions.load(Ordering::Relaxed) as usize > cap && budget > 0 {
         budget -= 1;
-        let Some(weak) = lock_ok(&shared.lru).pop_oldest() else { break };
+        let Some(weak) = lock_ok(&shared.lru).pop_oldest() else {
+            break;
+        };
         let Some(cell) = weak.upgrade() else { continue };
         let mut guard = match cell.state.try_lock() {
             Ok(g) => g,
@@ -804,7 +821,10 @@ fn ensure_hot(
         return Ok(false);
     }
     let Some(store) = shared.store.as_ref() else {
-        return Err(format!("session {} was evicted but the store is gone", cell.id));
+        return Err(format!(
+            "session {} was evicted but the store is gone",
+            cell.id
+        ));
     };
     let record = match store.load(cell.id) {
         Ok(Some(r)) => r,
@@ -815,14 +835,22 @@ fn ensure_hot(
     };
     match Session::restore_from_record(&record) {
         Ok(sess) => {
-            shared.metrics.sleep_depth_changed(None, sess.pending_depth());
+            shared
+                .metrics
+                .sleep_depth_changed(None, sess.pending_depth());
             **guard = SessionSlot::Hot(Box::new(sess));
             shared.metrics.cold_sessions.fetch_sub(1, Ordering::Relaxed);
             shared.metrics.hot_sessions.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .sessions_rehydrated
+                .fetch_add(1, Ordering::Relaxed);
             Ok(true)
         }
-        Err(e) => Err(format!("evicted session {} failed to rehydrate: {e}", cell.id)),
+        Err(e) => Err(format!(
+            "evicted session {} failed to rehydrate: {e}",
+            cell.id
+        )),
     }
 }
 
@@ -836,7 +864,9 @@ fn retire_cell(cell: &SessionCell, shared: &Shared) -> Option<Box<Session>> {
     let out = match prev {
         SessionSlot::Hot(sess) => {
             shared.metrics.hot_sessions.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.sleep_depth_changed(sess.pending_depth(), None);
+            shared
+                .metrics
+                .sleep_depth_changed(sess.pending_depth(), None);
             Some(sess)
         }
         SessionSlot::Cold => {
@@ -960,7 +990,10 @@ impl Server {
                     std::fs::remove_file(path)?;
                 }
                 let l = UnixListener::bind(path)?;
-                (Listener::Unix(l, path.clone()), Endpoint::Unix(path.clone()))
+                (
+                    Listener::Unix(l, path.clone()),
+                    Endpoint::Unix(path.clone()),
+                )
             }
         };
         match &listener {
@@ -1059,7 +1092,9 @@ impl Server {
             stop: Arc::clone(&self.stop),
             drain: AtomicBool::new(false),
             store: self.store.clone(),
-            shards: (0..SESSION_TABLE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SESSION_TABLE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             lru: Mutex::new(LruState::default()),
             shutdown: Arc::clone(&self.shutdown),
             conn_seq: AtomicU64::new(0),
@@ -1118,7 +1153,10 @@ impl Server {
             // ratchet down to zero.
             for w in workers.iter_mut() {
                 if w.is_finished() {
-                    shared.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .metrics
+                        .worker_respawns
+                        .fetch_add(1, Ordering::Relaxed);
                     let fresh = spawn_worker(&shared);
                     let dead = std::mem::replace(w, fresh);
                     let _ = dead.join();
@@ -1254,15 +1292,27 @@ impl Reactor {
             // Epoll itself failed (fd exhaustion after bind): nothing
             // to serve with. The supervisor notices via the lifecycle
             // channel; counted so the condition is observable.
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if poller.add(self.handle.waker.raw_fd(), TOKEN_WAKER, Interest::READ).is_err()
+        if poller
+            .add(self.handle.waker.raw_fd(), TOKEN_WAKER, Interest::READ)
+            .is_err()
             || poller
-                .add(self.shared.shutdown.raw_fd(), TOKEN_SHUTDOWN, Interest::READ)
+                .add(
+                    self.shared.shutdown.raw_fd(),
+                    TOKEN_SHUTDOWN,
+                    Interest::READ,
+                )
                 .is_err()
         {
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             return;
         }
         if let Some(l) = &self.listener {
@@ -1325,7 +1375,9 @@ impl Reactor {
     /// Accept until the listener would block, dispatching connections
     /// round-robin across the loops (only loop 0 runs this).
     fn accept_burst(&mut self, poller: &Poller) {
-        let Some(listener) = self.listener.clone() else { return };
+        let Some(listener) = self.listener.clone() else {
+            return;
+        };
         loop {
             match listener.accept() {
                 Ok(stream) => {
@@ -1341,7 +1393,10 @@ impl Reactor {
                 Err(_) => {
                     // Accept errors (EMFILE and friends) must not hot
                     // loop on level-triggered listener readability.
-                    self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .metrics
+                        .protocol_errors
+                        .fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(2));
                     break;
                 }
@@ -1363,7 +1418,10 @@ impl Reactor {
         let token = self.next_token;
         self.next_token += 1;
         if poller.add(fd, token, Interest::READ).is_err() {
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             let _ = stream.shutdown();
             return;
         }
@@ -1397,7 +1455,9 @@ impl Reactor {
     /// Pull bytes off the socket (bounded per wake) and run the parser
     /// over whatever accumulated.
     fn read_conn(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         if conn.closing || conn.paused.is_some() {
             return;
         }
@@ -1437,7 +1497,9 @@ impl Reactor {
         let metrics = &shared.metrics;
         let mut pos = 0usize;
         loop {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
             if conn.closing || conn.paused.is_some() {
                 break;
             }
@@ -1530,18 +1592,30 @@ impl Reactor {
     /// parsing whatever is already buffered (level-triggered epoll will
     /// not re-report bytes we have already read).
     fn retry_paused(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let Some((session, work)) = conn.paused.take() else { return };
-        let Some(cell) = conn.sessions.get(&session).cloned() else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let Some((session, work)) = conn.paused.take() else {
+            return;
+        };
+        let Some(cell) = conn.sessions.get(&session).cloned() else {
+            return;
+        };
         let is_close = matches!(work, Work::Close(_));
         let handle = Arc::clone(&self.handle);
-        match cell.try_push(work, || Waiter { home: handle, token }) {
+        match cell.try_push(work, || Waiter {
+            home: handle,
+            token,
+        }) {
             PushOutcome::Queued(needs_schedule) => {
                 if is_close {
                     conn.sessions.remove(&session);
                 }
                 if needs_schedule {
-                    self.shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .metrics
+                        .ready_queue_depth
+                        .fetch_add(1, Ordering::Relaxed);
                     let _ = self.ready.send(cell);
                 }
                 self.parse_conn(poller, token);
@@ -1555,7 +1629,9 @@ impl Reactor {
     /// Flush the outbound side, settle poller interest, and tear down
     /// if the connection is finished.
     fn service(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         // Move queued frames into the write buffer only once the
         // previous buffer fully drained: queue-resident frames stay
         // sheddable, so a dead-slow reader costs bounded memory.
@@ -1607,7 +1683,9 @@ impl Reactor {
             self.close_conn(poller, token);
             return;
         }
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         let out_pending = conn.outpos < conn.outbuf.len() || !conn.tx.is_empty();
         if conn.closing && !out_pending {
             self.close_conn(poller, token);
@@ -1670,7 +1748,9 @@ impl Reactor {
     /// protocol resends the tail), kill the outbound queue, close the
     /// socket, and prune the registry shards.
     fn close_conn(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else { return };
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
         if self.shared.store.is_some() {
             for cell in conn.sessions.values() {
                 persist_cell(cell, &self.shared, false);
@@ -1728,7 +1808,14 @@ fn send_error(tx: &ConnTx, metrics: &MetricsRegistry, session: u32, code: u16, m
     metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
     // Errors are rare and sent from both loops and workers: always
     // wake (a redundant self-wake costs one eventfd write).
-    send_frame(tx, &ServerFrame::Error { session, code, message });
+    send_frame(
+        tx,
+        &ServerFrame::Error {
+            session,
+            code,
+            message,
+        },
+    );
 }
 // -------------------------------------------------------------- routing
 
@@ -1739,8 +1826,14 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
     match frame {
-        ClientFrame::Open { session, rank, config } => {
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+        ClientFrame::Open {
+            session,
+            rank,
+            config,
+        } => {
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             if conn.sessions.contains_key(&session) {
                 send_error(
                     &conn.tx,
@@ -1765,12 +1858,20 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             register(&shared, session, &cell);
             conn.sessions.insert(session, Arc::clone(&cell));
             metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            send_frame_local(&conn.tx, &ServerFrame::OpenAck { session, events_applied: 0 });
+            send_frame_local(
+                &conn.tx,
+                &ServerFrame::OpenAck {
+                    session,
+                    events_applied: 0,
+                },
+            );
             lru_touch(&shared, &cell);
             maybe_evict(&shared);
         }
         ClientFrame::Restore { session, snapshot } => {
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             if conn.sessions.contains_key(&session) {
                 send_error(
                     &conn.tx,
@@ -1802,7 +1903,13 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
                     register(&shared, session, &cell);
                     conn.sessions.insert(session, Arc::clone(&cell));
                     metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    send_frame_local(&conn.tx, &ServerFrame::OpenAck { session, events_applied });
+                    send_frame_local(
+                        &conn.tx,
+                        &ServerFrame::OpenAck {
+                            session,
+                            events_applied,
+                        },
+                    );
                     lru_touch(&shared, &cell);
                     maybe_evict(&shared);
                 }
@@ -1824,7 +1931,10 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
         ClientFrame::Snapshot { session } => {
             try_enqueue(r, token, session, Work::Snapshot);
         }
-        ClientFrame::Close { session, final_compute_ns } => {
+        ClientFrame::Close {
+            session,
+            final_compute_ns,
+        } => {
             try_enqueue(r, token, session, Work::Close(final_compute_ns));
         }
         ClientFrame::Query { session } => {
@@ -1834,10 +1944,15 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             // delay session work.
             let report = build_report(&shared, session);
             metrics.queries_answered.fetch_add(1, Ordering::Relaxed);
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             send_frame_local(
                 &conn.tx,
-                &ServerFrame::QueryReply { session, report: Box::new(report) },
+                &ServerFrame::QueryReply {
+                    session,
+                    report: Box::new(report),
+                },
             );
         }
     }
@@ -1848,7 +1963,9 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
 /// frames may address it; a later Open may reuse it for a new session).
 fn try_enqueue(r: &mut Reactor, token: u64, session: u32, work: Work) {
     let shared = Arc::clone(&r.shared);
-    let Some(conn) = r.conns.get_mut(&token) else { return };
+    let Some(conn) = r.conns.get_mut(&token) else {
+        return;
+    };
     let Some(cell) = conn.sessions.get(&session).cloned() else {
         send_error(
             &conn.tx,
@@ -1861,13 +1978,19 @@ fn try_enqueue(r: &mut Reactor, token: u64, session: u32, work: Work) {
     };
     let is_close = matches!(work, Work::Close(_));
     let handle = Arc::clone(&r.handle);
-    match cell.try_push(work, || Waiter { home: handle, token }) {
+    match cell.try_push(work, || Waiter {
+        home: handle,
+        token,
+    }) {
         PushOutcome::Queued(needs_schedule) => {
             if is_close {
                 conn.sessions.remove(&session);
             }
             if needs_schedule {
-                shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .ready_queue_depth
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = r.ready.send(cell);
             }
         }
@@ -1980,7 +2103,9 @@ fn prune_registry(shared: &Shared) {
 fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
-    let Some(conn) = r.conns.get_mut(&token) else { return };
+    let Some(conn) = r.conns.get_mut(&token) else {
+        return;
+    };
     let Some(store) = shared.store.as_ref() else {
         send_error(
             &conn.tx,
@@ -2036,7 +2161,10 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
             metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
             send_frame_local(
                 &conn.tx,
-                &ServerFrame::OpenAck { session, events_applied: record.events },
+                &ServerFrame::OpenAck {
+                    session,
+                    events_applied: record.events,
+                },
             );
             // Replay the stored history so the client can rebuild its
             // parity accounting from event 0 before resuming.
@@ -2061,16 +2189,13 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     }
 }
 
-fn new_cell(
-    id: u32,
-    session: Session,
-    shared: &Arc<Shared>,
-    tx: &Arc<ConnTx>,
-) -> Arc<SessionCell> {
+fn new_cell(id: u32, session: Session, shared: &Arc<Shared>, tx: &Arc<ConnTx>) -> Arc<SessionCell> {
     shared.metrics.hot_sessions.fetch_add(1, Ordering::Relaxed);
     // A fresh open contributes nothing; a restore whose snapshot
     // carries an armed sleep re-registers its depth.
-    shared.metrics.sleep_depth_changed(None, session.pending_depth());
+    shared
+        .metrics
+        .sleep_depth_changed(None, session.pending_depth());
     Arc::new(SessionCell {
         id,
         rank: session.rank,
@@ -2136,7 +2261,10 @@ fn worker_loop(
         };
         let cell = match cell {
             Ok(cell) => {
-                shared.metrics.ready_queue_depth.fetch_sub(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .ready_queue_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 cell
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -2178,7 +2306,10 @@ fn worker_loop(
             }
         }
         if !emptied && cell.needs_requeue() {
-            shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .ready_queue_depth
+                .fetch_add(1, Ordering::Relaxed);
             let _ = requeue.send(Arc::clone(&cell));
         }
     }
@@ -2191,9 +2322,13 @@ fn worker_loop(
 /// uses — so no stale record can ever overwrite a newer one. A cold
 /// cell is already durable (eviction persisted it); nothing to do.
 fn persist_cell(cell: &SessionCell, shared: &Shared, closing: bool) {
-    let Some(store) = shared.store.as_ref() else { return };
+    let Some(store) = shared.store.as_ref() else {
+        return;
+    };
     let mut guard = lock_ok(&cell.state);
-    let SessionSlot::Hot(sess) = &mut *guard else { return };
+    let SessionSlot::Hot(sess) = &mut *guard else {
+        return;
+    };
     let record = StoreRecord {
         record_version: RECORD_VERSION,
         session: cell.id,
@@ -2210,14 +2345,23 @@ fn persist_cell(cell: &SessionCell, shared: &Shared, closing: bool) {
     // the session from an older checkpoint, which the resume protocol
     // already handles, and a worker pool that fsyncs every
     // `--persist-every` events cannot sustain fleet-scale throughput.
-    let persisted =
-        if closing { store.persist(&record) } else { store.persist_fast(&record) };
+    let persisted = if closing {
+        store.persist(&record)
+    } else {
+        store.persist_fast(&record)
+    };
     match persisted {
         Ok(()) => {
-            shared.metrics.snapshots_persisted.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .snapshots_persisted
+                .fetch_add(1, Ordering::Relaxed);
         }
         Err(_) => {
-            shared.metrics.persist_failures.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .persist_failures
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -2259,7 +2403,9 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
                     "chaos hook: panic_on_call {bad} hit"
                 );
             }
-            metrics.events_applied.fetch_add(events.len() as u64, Ordering::Relaxed);
+            metrics
+                .events_applied
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
             let depth_before = sess.pending_depth();
             let (events_applied, directives) = sess.apply(&events);
             metrics.sleep_depth_changed(depth_before, sess.pending_depth());
@@ -2278,10 +2424,20 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             drop(guard);
             send_frame(
                 tx,
-                &ServerFrame::Directives { session: cell.id, events_applied, directives },
+                &ServerFrame::Directives {
+                    session: cell.id,
+                    events_applied,
+                    directives,
+                },
             );
             if let Some(stats) = stats {
-                send_frame(tx, &ServerFrame::Stats { session: cell.id, stats: Box::new(stats) });
+                send_frame(
+                    tx,
+                    &ServerFrame::Stats {
+                        session: cell.id,
+                        stats: Box::new(stats),
+                    },
+                );
             }
             if persist {
                 persist_cell(cell, shared, false);
@@ -2291,12 +2447,24 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             let stats = sess.stats();
             sess.mark_stats_emitted();
             drop(guard);
-            send_frame(tx, &ServerFrame::Stats { session: cell.id, stats: Box::new(stats) });
+            send_frame(
+                tx,
+                &ServerFrame::Stats {
+                    session: cell.id,
+                    stats: Box::new(stats),
+                },
+            );
         }
         Work::Snapshot => {
             let snapshot = sess.snapshot_bytes();
             drop(guard);
-            send_frame(tx, &ServerFrame::SnapshotData { session: cell.id, snapshot });
+            send_frame(
+                tx,
+                &ServerFrame::SnapshotData {
+                    session: cell.id,
+                    snapshot,
+                },
+            );
         }
         Work::Close(final_compute_ns) => {
             // Persist the pre-close state first, still under the

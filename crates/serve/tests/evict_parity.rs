@@ -57,10 +57,7 @@ fn scripts(sessions: usize) -> Vec<Script> {
 /// Reconnect and rehydrate with bounded retries: the server processes
 /// the old connection's hangup asynchronously, so the first attempts
 /// may race it and see a still-live (DUPLICATE) session.
-fn reconnect(
-    bound: &Endpoint,
-    session: u32,
-) -> (Client, u64, Vec<ibp_core::LaneDirective>) {
+fn reconnect(bound: &Endpoint, session: u32) -> (Client, u64, Vec<ibp_core::LaneDirective>) {
     for _ in 0..400 {
         let mut client = Client::connect(bound).expect("reconnect");
         match client.restore_from_store(session) {

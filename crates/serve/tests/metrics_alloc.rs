@@ -113,11 +113,17 @@ fn metric_updates_are_allocation_free() {
             m.writer_queue_depth.store(i % 3, Ordering::Relaxed);
         }
     });
-    assert_eq!(allocs, 0, "metric updates allocated {allocs} times over {ROUNDS} rounds");
+    assert_eq!(
+        allocs, 0,
+        "metric updates allocated {allocs} times over {ROUNDS} rounds"
+    );
     // The armed section may have run several times; every full pass
     // adds exactly 64 * ROUNDS.
     let applied = m.events_applied.load(Ordering::Relaxed);
-    assert!(applied >= 64 * ROUNDS && applied % (64 * ROUNDS) == 0, "applied: {applied}");
+    assert!(
+        applied >= 64 * ROUNDS && applied % (64 * ROUNDS) == 0,
+        "applied: {applied}"
+    );
 }
 
 #[test]
@@ -157,7 +163,10 @@ fn probing_a_live_engine_is_allocation_free() {
         let _ = sess.apply(&period);
     }
     let baseline = sess.probe(7, 2);
-    assert!(baseline.predicting, "training stream must reach prediction mode");
+    assert!(
+        baseline.predicting,
+        "training stream must reach prediction mode"
+    );
 
     let (allocs, last) = count_allocs(|| {
         let mut last = None;

@@ -70,7 +70,8 @@ fn routing_seed_changes_timing_but_not_traffic() {
             record_timelines: false,
             ..ReplayOptions::default()
         },
-    ).expect("replay");
+    )
+    .expect("replay");
     let b = replay(
         &t,
         None,
@@ -80,7 +81,8 @@ fn routing_seed_changes_timing_but_not_traffic() {
             record_timelines: false,
             ..ReplayOptions::default()
         },
-    ).expect("replay");
+    )
+    .expect("replay");
     assert_eq!(a.fabric.messages, b.fabric.messages);
     assert_eq!(a.fabric.bytes, b.fabric.bytes);
 }

@@ -207,17 +207,22 @@ fn deeper_rungs_trade_latency_for_power_in_every_generation() {
             assert!(
                 deep.power_fraction < shallow.power_fraction,
                 "{gen:?}: {:?} floor {} not below {:?} floor {}",
-                pair[1], deep.power_fraction, pair[0], shallow.power_fraction
+                pair[1],
+                deep.power_fraction,
+                pair[0],
+                shallow.power_fraction
             );
             assert!(
                 deep.wake_latency >= shallow.wake_latency,
                 "{gen:?}: {:?} wakes faster than {:?}",
-                pair[1], pair[0]
+                pair[1],
+                pair[0]
             );
             assert!(
                 deep.transition_energy_j >= shallow.transition_energy_j,
                 "{gen:?}: {:?} transition cheaper than {:?}",
-                pair[1], pair[0]
+                pair[1],
+                pair[0]
             );
         }
     }
@@ -255,7 +260,10 @@ fn ladder_mirrors_agree_on_every_rung() {
         for (source, f) in floors {
             assert_eq!(f, rung.power_fraction, "{kind:?} floor: {source} vs ladder");
         }
-        for (source, w) in [("PowerConfig::paper", cfg.react_of(kind)), ("SimParams::paper", wake)] {
+        for (source, w) in [
+            ("PowerConfig::paper", cfg.react_of(kind)),
+            ("SimParams::paper", wake),
+        ] {
             assert_eq!(w, rung.wake_latency, "{kind:?} wake: {source} vs ladder");
         }
     }
@@ -269,7 +277,8 @@ fn generation_rates_rise_monotonically() {
         assert!(
             pair[1].per_lane_gbps() > pair[0].per_lane_gbps(),
             "{:?} per-lane rate not above {:?}",
-            pair[1], pair[0]
+            pair[1],
+            pair[0]
         );
         assert!(pair[1].link_gbps() > pair[0].link_gbps());
     }
@@ -293,7 +302,10 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
         panic!("config serializes as an object");
     };
     entries.retain(|(k, _)| {
-        !matches!(k.as_str(), "rate_threshold" | "rate_t_react" | "rate_power_fraction")
+        !matches!(
+            k.as_str(),
+            "rate_threshold" | "rate_t_react" | "rate_power_fraction"
+        )
     });
     let cfg_pre = PowerConfig::from_value(&v).expect("pre-ladder config parses");
     assert_eq!(cfg_pre, cfg_now);
@@ -326,13 +338,24 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
         let opts = ibp_network::ReplayOptions::default();
         let now = ibp_network::replay(&trace, Some(&ann_now), &params_now, &opts).unwrap();
         let pre = ibp_network::replay(&trace, Some(&ann_pre), &params_pre, &opts).unwrap();
-        assert_eq!(now.exec_time, pre.exec_time, "{app:?}: replay timing diverges");
+        assert_eq!(
+            now.exec_time, pre.exec_time,
+            "{app:?}: replay timing diverges"
+        );
         assert_eq!(
             now.power_saving_pct().to_bits(),
             pre.power_saving_pct().to_bits(),
             "{app:?}: power accounting diverges"
         );
-        assert_eq!(now.mean_rate_fraction(), 0.0, "{app:?}: rate rung engaged while off");
-        assert_eq!(now.mean_deep_fraction(), 0.0, "{app:?}: deep rung engaged while off");
+        assert_eq!(
+            now.mean_rate_fraction(),
+            0.0,
+            "{app:?}: rate rung engaged while off"
+        );
+        assert_eq!(
+            now.mean_deep_fraction(),
+            0.0,
+            "{app:?}: deep rung engaged while off"
+        );
     }
 }

@@ -117,8 +117,14 @@ fn random_sized_trace(nprocs: u32, schedule: &[(u8, u32)], seed: u64) -> Trace {
             let op = match s % 6 {
                 0 => MpiOp::Allreduce { bytes },
                 1 => MpiOp::Barrier,
-                2 => MpiOp::Bcast { root: s as u32 % nprocs, bytes },
-                3 => MpiOp::Reduce { root: (s as u32 + 1) % nprocs, bytes },
+                2 => MpiOp::Bcast {
+                    root: s as u32 % nprocs,
+                    bytes,
+                },
+                3 => MpiOp::Reduce {
+                    root: (s as u32 + 1) % nprocs,
+                    bytes,
+                },
                 4 => MpiOp::Sendrecv {
                     to: (r + 1) % nprocs,
                     send_bytes: bytes,
@@ -192,14 +198,21 @@ fn bcast_reaches_all_ranks_after_root_compute() {
     let mut b = TraceBuilder::new("bcast", n);
     b.compute(0, SimDuration::from_ms(10));
     for r in 0..n {
-        b.op(r, MpiOp::Bcast { root: 0, bytes: 1 << 16 });
+        b.op(
+            r,
+            MpiOp::Bcast {
+                root: 0,
+                bytes: 1 << 16,
+            },
+        );
     }
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     for (r, f) in result.rank_finish.iter().enumerate() {
         assert!(
             f.as_us_f64() >= 10_000.0,
@@ -214,14 +227,21 @@ fn reduce_waits_for_slowest_contributor() {
     let mut b = TraceBuilder::new("reduce", n);
     b.compute(5, SimDuration::from_ms(7)); // rank 5 is late
     for r in 0..n {
-        b.op(r, MpiOp::Reduce { root: 0, bytes: 4096 });
+        b.op(
+            r,
+            MpiOp::Reduce {
+                root: 0,
+                bytes: 4096,
+            },
+        );
     }
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert!(
         result.rank_finish[0].as_us_f64() >= 7_000.0,
         "root finished before the late contributor: {}",
@@ -244,7 +264,8 @@ fn alltoall_transports_n_squared_messages() {
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert_eq!(result.fabric.messages, u64::from(n) * u64::from(n - 1));
 }
 
@@ -257,13 +278,20 @@ fn wait_enforces_request_completion_time() {
     b.compute(0, SimDuration::from_us(10));
     b.op(0, MpiOp::Wait { req });
     b.compute(1, SimDuration::from_ms(5)); // sender is busy 5 ms
-    b.op(1, MpiOp::Send { to: 0, bytes: 1 << 20 });
+    b.op(
+        1,
+        MpiOp::Send {
+            to: 0,
+            bytes: 1 << 20,
+        },
+    );
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert!(
         result.rank_finish[0].as_us_f64() > 5_000.0,
         "wait returned before the message existed: {}",
@@ -277,9 +305,21 @@ fn message_ordering_is_fifo_per_pair() {
     // recv matches the first (large) send even though the second (small)
     // one would "arrive" earlier if reordered.
     let mut b = TraceBuilder::new("fifo", 2);
-    b.op(0, MpiOp::Send { to: 1, bytes: 4 << 20 });
+    b.op(
+        0,
+        MpiOp::Send {
+            to: 1,
+            bytes: 4 << 20,
+        },
+    );
     b.op(0, MpiOp::Send { to: 1, bytes: 64 });
-    b.op(1, MpiOp::Recv { from: 0, bytes: 4 << 20 });
+    b.op(
+        1,
+        MpiOp::Recv {
+            from: 0,
+            bytes: 4 << 20,
+        },
+    );
     // The first recv's completion must dominate the big serialization.
     b.op(1, MpiOp::Recv { from: 0, bytes: 64 });
     let result = replay(
@@ -287,7 +327,8 @@ fn message_ordering_is_fifo_per_pair() {
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     let serial_big = SimParams::paper().serialize(4 << 20);
     assert!(
         result.rank_finish[1].as_ns() >= serial_big.as_ns(),
