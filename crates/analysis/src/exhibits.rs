@@ -515,12 +515,13 @@ mod tests {
         let d = engine.stats().since(&before);
         assert_eq!(d.gt_selections, 0, "fig10 swept a curve again: {d:?}");
         assert_eq!(d.gt_hits, 2, "{d:?}");
+        assert_eq!((d.gt_rank_passes, d.gt_rank_points), (0, 0), "{d:?}");
         // One trace lookup per cell: the curve lookup reuses it.
         assert_eq!((d.traces_generated, d.trace_hits), (0, 2), "{d:?}");
         assert_eq!(data.curves.len(), 2);
         for (n, curve) in &data.curves {
             let trace = engine.trace(&CellKey::new(AppKind::Gromacs, *n, SEED));
-            assert_eq!(*curve, sweep(&trace, AppKind::Gromacs, SELECT_DISPLACEMENT));
+            assert_eq!(*curve, sweep(&trace, SELECT_DISPLACEMENT));
         }
     }
 

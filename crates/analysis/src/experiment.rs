@@ -67,7 +67,7 @@ pub struct RunResult {
     /// Figs. 7b/8b/9b metric: execution-time increase (%).
     pub slowdown_pct: f64,
     /// Quick estimate of the saving from the runtime alone (no replay
-    /// denominator; used by GT sweeps).
+    /// denominator; the estimate GT selection maximises).
     pub est_saving_pct: f64,
     /// Baseline execution time.
     pub baseline_exec: SimDuration,
@@ -159,7 +159,8 @@ pub fn run(app: AppKind, nprocs: u32, cfg: &RunConfig) -> RunResult {
     run_on_trace(&trace, app, cfg)
 }
 
-/// Runtime-only pass (annotation, no replay): cheap, used by GT sweeps.
+/// Runtime-only pass (annotation, no replay) at one GT: cheap, used by
+/// Table IV. GT sweeps use [`crate::gt_select::sweep`] instead.
 /// `est_saving_pct`, `hit_rate_pct` and `stats` are filled; replay
 /// metrics are 0. The runtime keeps its stats only (see
 /// [`annotate_trace_stats`]), never the per-event output a replay needs.

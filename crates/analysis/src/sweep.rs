@@ -29,7 +29,7 @@
 //! property test pin the byte equality.
 
 use crate::experiment::make_trace;
-use crate::gt_select::{select, sweep, GtPoint};
+use crate::gt_select::{select, sweep_counted, GtPoint};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_trace::Trace;
 use ibp_workloads::{AppKind, Scaling};
@@ -193,6 +193,12 @@ pub struct SweepStats {
     pub gt_selections: u64,
     /// GT-curve cache hits (selections and whole-curve lookups alike).
     pub gt_hits: u64,
+    /// Rank annotations the GT sweeps ran: one per rank per GT class
+    /// (grid points with no call gap of that rank between them).
+    pub gt_rank_passes: u64,
+    /// Rank × grid points those sweeps stand for: the passes a sweep
+    /// without GT classes would have run.
+    pub gt_rank_points: u64,
     /// Wall-clock milliseconds covered by these counters.
     pub wall_ms: u64,
 }
@@ -212,6 +218,8 @@ impl SweepStats {
             baseline_hits: self.baseline_hits - earlier.baseline_hits,
             gt_selections: self.gt_selections - earlier.gt_selections,
             gt_hits: self.gt_hits - earlier.gt_hits,
+            gt_rank_passes: self.gt_rank_passes - earlier.gt_rank_passes,
+            gt_rank_points: self.gt_rank_points - earlier.gt_rank_points,
             wall_ms: self.wall_ms - earlier.wall_ms,
         }
     }
@@ -294,6 +302,8 @@ pub struct SweepEngine {
     /// `select` over the cached curve, and Fig. 10 reads the curves
     /// Table III already swept.
     gt_curves: KeyedCache<(CellKey, u64), Vec<GtPoint>>,
+    gt_rank_passes: AtomicU64,
+    gt_rank_points: AtomicU64,
     cells: AtomicU64,
     started: Instant,
 }
@@ -318,6 +328,8 @@ impl SweepEngine {
             traces: KeyedCache::new(),
             baselines: KeyedCache::new(),
             gt_curves: KeyedCache::new(),
+            gt_rank_passes: AtomicU64::new(0),
+            gt_rank_points: AtomicU64::new(0),
             cells: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -348,12 +360,17 @@ impl SweepEngine {
         select(&self.gt_curve(key, &self.trace(key), displacement)).clone()
     }
 
-    /// The memoized GT sweep ([`sweep`]) of `key`'s trace at
-    /// `displacement`.
+    /// The memoized GT sweep ([`sweep`](crate::gt_select::sweep)) of
+    /// `key`'s trace at `displacement`.
     fn gt_curve(&self, key: &CellKey, trace: &Trace, displacement: f64) -> Arc<Vec<GtPoint>> {
         self.gt_curves
             .get_or_compute(&(*key, displacement.to_bits()), || {
-                sweep(trace, key.app, displacement)
+                let (points, passes) = sweep_counted(trace, displacement);
+                let rank_points = (points.len() * trace.ranks.len()) as u64;
+                self.gt_rank_passes.fetch_add(passes, Ordering::Relaxed);
+                self.gt_rank_points
+                    .fetch_add(rank_points, Ordering::Relaxed);
+                points
             })
     }
 
@@ -431,6 +448,8 @@ impl SweepEngine {
             baseline_hits: self.baselines.hits.load(Ordering::Relaxed),
             gt_selections: self.gt_curves.computed.load(Ordering::Relaxed),
             gt_hits: self.gt_curves.hits.load(Ordering::Relaxed),
+            gt_rank_passes: self.gt_rank_passes.load(Ordering::Relaxed),
+            gt_rank_points: self.gt_rank_points.load(Ordering::Relaxed),
             wall_ms: self.started.elapsed().as_millis() as u64,
         }
     }

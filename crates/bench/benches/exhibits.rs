@@ -45,7 +45,7 @@ fn bench_table3(c: &mut Criterion) {
                 .iter()
                 .map(|&app| {
                     let trace = make_trace(app, bench_procs(app)[0], SEED);
-                    choose_gt(&trace, app, 0.01).gt_us
+                    choose_gt(&trace, 0.01).gt_us
                 })
                 .collect::<Vec<_>>()
         })
@@ -102,7 +102,7 @@ fn bench_fig10(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fig10_gt_sweep_gromacs", |b| {
         let trace = make_trace(AppKind::Gromacs, 16, SEED);
-        b.iter(|| sweep(&trace, AppKind::Gromacs, 0.01))
+        b.iter(|| sweep(&trace, 0.01))
     });
     g.finish();
 }

@@ -8,6 +8,7 @@
 use crate::config::PowerConfig;
 use crate::runtime::{annotate_rank, annotate_rank_stats, RankAnnotation};
 use crate::stats::RankStats;
+use ibp_simcore::SimDuration;
 use ibp_trace::{RankTrace, Trace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -137,10 +138,82 @@ pub fn annotate_trace_stats(trace: &Trace, cfg: &PowerConfig, jobs: usize) -> Ve
     map_ranks(&trace.ranks, jobs, |r| annotate_rank_stats(r, cfg))
 }
 
+/// The per-rank statistics of a runtime-only sweep over a GT grid; see
+/// [`annotate_gt_sweep_stats`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct GtSweepStats {
+    /// `per_gt[i][r]`: rank `r`'s statistics at grid point `i`, equal to
+    /// `annotate_trace_stats` at that grouping threshold.
+    pub per_gt: Vec<Vec<RankStats>>,
+    /// Rank annotations the sweep ran: one per rank per GT class.
+    pub rank_passes: u64,
+}
+
+/// The GT classes of one rank on the strictly ascending grid `gts`, as
+/// the index of each class's first grid point (always starting with 0).
+///
+/// The runtime reads the grouping threshold only as `gap < GT`, so two
+/// neighbouring grid points give the rank the same grams, predictions
+/// and [`RankStats`] unless one of its call gaps lies in
+/// `[gts[i-1], gts[i])`; only such a gap starts a new class at `i`.
+fn gt_class_starts(rank: &RankTrace, gts: &[SimDuration]) -> Vec<usize> {
+    let mut starts_class = vec![false; gts.len()];
+    if let Some(first) = starts_class.first_mut() {
+        *first = true;
+    }
+    for e in &rank.events {
+        // `i` grid points lie at or below the gap: it is in `[gts[i-1], gts[i])`.
+        let i = gts.partition_point(|&g| g <= e.compute_before);
+        if (1..gts.len()).contains(&i) {
+            starts_class[i] = true;
+        }
+    }
+    (0..gts.len()).filter(|&i| starts_class[i]).collect()
+}
+
+/// [`annotate_trace_stats`] at every grouping threshold of the strictly
+/// ascending grid `gts`, with every other setting taken from `base`
+/// (its own threshold is ignored). Each rank is annotated once per GT
+/// class (see `gt_class_starts`) and the result copied to the rest of the
+/// class, so the output equals a pass per grid point exactly.
+///
+/// # Panics
+/// Panics if `gts` is not strictly ascending.
+pub fn annotate_gt_sweep_stats(
+    trace: &Trace,
+    base: &PowerConfig,
+    gts: &[SimDuration],
+    jobs: usize,
+) -> GtSweepStats {
+    assert!(
+        gts.windows(2).all(|w| w[0] < w[1]),
+        "GT grid must be strictly ascending"
+    );
+    let per_rank = map_ranks(&trace.ranks, jobs, |rank| {
+        let starts = gt_class_starts(rank, gts);
+        let mut stats = Vec::with_capacity(gts.len());
+        for (c, &first) in starts.iter().enumerate() {
+            let end = starts.get(c + 1).copied().unwrap_or(gts.len());
+            let cfg = PowerConfig {
+                grouping_threshold: gts[first],
+                ..base.clone()
+            };
+            let s = annotate_rank_stats(rank, &cfg);
+            stats.resize(end, s);
+        }
+        (stats, starts.len() as u64)
+    });
+    GtSweepStats {
+        per_gt: (0..gts.len())
+            .map(|i| per_rank.iter().map(|(s, _)| s[i].clone()).collect())
+            .collect(),
+        rank_passes: per_rank.iter().map(|(_, n)| n).sum(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibp_simcore::SimDuration;
     use ibp_trace::{MpiOp, TraceBuilder};
 
     fn us(x: u64) -> SimDuration {

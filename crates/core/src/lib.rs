@@ -57,8 +57,8 @@ pub mod snapshot;
 pub mod stats;
 
 pub use annotate::{
-    annotate_trace, annotate_trace_jobs, annotate_trace_stats, effective_jobs, map_ranks,
-    TraceAnnotations, SERIAL_CUTOVER_EVENTS,
+    annotate_gt_sweep_stats, annotate_trace, annotate_trace_jobs, annotate_trace_stats,
+    effective_jobs, map_ranks, GtSweepStats, TraceAnnotations, SERIAL_CUTOVER_EVENTS,
 };
 pub use baselines::Baseline;
 pub use config::{PowerConfig, PowerPolicy, ResilienceConfig, SleepKind};
