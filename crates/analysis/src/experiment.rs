@@ -159,8 +159,9 @@ pub fn run(app: AppKind, nprocs: u32, cfg: &RunConfig) -> RunResult {
     run_on_trace(&trace, app, cfg)
 }
 
-/// Runtime-only pass (annotation, no replay) at one GT: cheap, used by
-/// Table IV. GT sweeps use [`crate::gt_select::sweep`] instead.
+/// Runtime-only pass (annotation, no replay) at one GT: the
+/// single-threaded form of [`run_runtime_only_jobs`], which Table IV
+/// calls; kept for the benches. GT sweeps use [`crate::gt_select::sweep`].
 /// `est_saving_pct`, `hit_rate_pct` and `stats` are filled; replay
 /// metrics are 0. The runtime keeps its stats only (see
 /// [`annotate_trace_stats`]), never the per-event output a replay needs.

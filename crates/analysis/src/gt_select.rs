@@ -53,7 +53,7 @@ pub(crate) fn sweep_counted(trace: &Trace, displacement: f64) -> (Vec<GtPoint>, 
         .iter()
         .map(|&gt| SimDuration::from_us_f64(gt))
         .collect();
-    let swept = annotate_gt_sweep_stats(trace, &base, &gts, 1);
+    let swept = annotate_gt_sweep_stats(trace, &base, &gts);
     let points = GT_GRID_US
         .iter()
         .zip(&swept.per_gt)

@@ -183,26 +183,29 @@ pub fn annotate_gt_sweep_stats(
     trace: &Trace,
     base: &PowerConfig,
     gts: &[SimDuration],
-    jobs: usize,
 ) -> GtSweepStats {
     assert!(
         gts.windows(2).all(|w| w[0] < w[1]),
         "GT grid must be strictly ascending"
     );
-    let per_rank = map_ranks(&trace.ranks, jobs, |rank| {
-        let starts = gt_class_starts(rank, gts);
-        let mut stats = Vec::with_capacity(gts.len());
-        for (c, &first) in starts.iter().enumerate() {
-            let end = starts.get(c + 1).copied().unwrap_or(gts.len());
-            let cfg = PowerConfig {
-                grouping_threshold: gts[first],
-                ..base.clone()
-            };
-            let s = annotate_rank_stats(rank, &cfg);
-            stats.resize(end, s);
-        }
-        (stats, starts.len() as u64)
-    });
+    let per_rank: Vec<_> = trace
+        .ranks
+        .iter()
+        .map(|rank| {
+            let starts = gt_class_starts(rank, gts);
+            let mut stats = Vec::with_capacity(gts.len());
+            for (c, &first) in starts.iter().enumerate() {
+                let end = starts.get(c + 1).copied().unwrap_or(gts.len());
+                let cfg = PowerConfig {
+                    grouping_threshold: gts[first],
+                    ..base.clone()
+                };
+                let s = annotate_rank_stats(rank, &cfg);
+                stats.resize(end, s);
+            }
+            (stats, starts.len() as u64)
+        })
+        .collect();
     GtSweepStats {
         per_gt: (0..gts.len())
             .map(|i| per_rank.iter().map(|(s, _)| s[i].clone()).collect())

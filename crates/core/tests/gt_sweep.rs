@@ -93,13 +93,8 @@ fn config(gt: SimDuration, disp: f64, policy: usize, resilient: bool) -> PowerCo
 }
 
 /// Compare the class sweep with one pass per grid point, rank by rank.
-fn check(
-    trace: &Trace,
-    base: &PowerConfig,
-    gts: &[SimDuration],
-    jobs: usize,
-) -> Result<(), String> {
-    let swept = annotate_gt_sweep_stats(trace, base, gts, jobs);
+fn check(trace: &Trace, base: &PowerConfig, gts: &[SimDuration]) -> Result<(), String> {
+    let swept = annotate_gt_sweep_stats(trace, base, gts);
     let nranks = trace.ranks.len() as u64;
     if swept.per_gt.len() != gts.len() {
         return Err(format!(
@@ -166,13 +161,12 @@ proptest! {
         disp_sel in 0usize..3,
         policy in 0usize..3,
         resilient in any::<bool>(),
-        jobs in 1usize..3,
     ) {
         let gts = grid(first_ns, &steps);
         let trace = build(&ranks, &tails, &gts);
         let disp = [0.01, 0.05, 0.10][disp_sel];
         let base = config(gts[0], disp, policy, resilient);
-        let verdict = check(&trace, &base, &gts, jobs);
+        let verdict = check(&trace, &base, &gts);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
@@ -194,7 +188,7 @@ proptest! {
         let (_, _, trace) = paper_trace(app_idx, nprocs_sel, seed);
         let gts = grid(first_ns, &steps);
         let base = config(gts[0], [0.01, 0.05, 0.10][disp_sel], policy, false);
-        let verdict = check(&trace, &base, &gts, 2);
+        let verdict = check(&trace, &base, &gts);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
@@ -220,8 +214,8 @@ fn grid_points_without_gaps_between_them_share_a_pass() {
     // gaps open the second and third.
     let gts: Vec<SimDuration> = [20, 30, 50, 100, 200, 300, 400].map(us).to_vec();
     let base = PowerConfig::paper(gts[0], 0.01);
-    let swept = annotate_gt_sweep_stats(&trace, &base, &gts, 1);
+    let swept = annotate_gt_sweep_stats(&trace, &base, &gts);
     assert_eq!(swept.rank_passes, 2 * 3);
     assert!(swept.per_gt[0][0].declarations > 0, "no pattern declared");
-    check(&trace, &base, &gts, 1).unwrap();
+    check(&trace, &base, &gts).unwrap();
 }
